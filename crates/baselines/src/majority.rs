@@ -100,8 +100,7 @@ impl AgentState for MajorityAgent {
 }
 
 /// Columnar h-majority: bit-identical to [`HMajority`] on the same world
-/// arguments (see `noisy_pull::columnar` for the equivalence contract the
-/// protocol ports share).
+/// arguments (pinned round by round by this module's tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ColumnarHMajority;
 
@@ -150,8 +149,22 @@ impl ColumnarState for MajorityColumns {
     where
         Self: 'a;
 
+    type Agent = MajorityAgent;
+
     fn len(&self) -> usize {
         self.role.len()
+    }
+
+    fn agent(&self, id: usize) -> MajorityAgent {
+        MajorityAgent {
+            role: self.role[id],
+            opinion: self.opinion[id],
+        }
+    }
+
+    fn set_agent(&mut self, id: usize, agent: MajorityAgent) {
+        self.role[id] = agent.role;
+        self.opinion[id] = agent.opinion;
     }
 
     fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
@@ -226,15 +239,9 @@ impl ColumnarState for MajorityColumns {
         self.opinion.iter().filter(|&&o| o == opinion).count()
     }
 
-    /// Memoryless dynamics: every agent is always in the single stage 0
-    /// (explicit for the same reason as [`MajorityAgent`]'s impl).
-    fn stage_id(&self, _id: usize) -> u32 {
-        0
-    }
-
     /// Fused sweep: memoryless dynamics put every agent in stage 0 with
     /// no weak opinion, so only the correct count needs a lane pass —
-    /// value-identical to the default per-agent walk.
+    /// value-identical to the per-agent walk.
     fn metrics_sweep(&self, correct: Opinion) -> np_engine::metrics::MetricsSweep {
         let stages = if self.opinion.is_empty() {
             Vec::new()

@@ -2,8 +2,6 @@
 //! the end-to-end cost the experiment sweeps pay per simulated round.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use noisy_pull::columnar::sf::ColumnarSourceFilter;
-use noisy_pull::columnar::ssf::ColumnarSsf;
 use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
@@ -11,11 +9,11 @@ use np_baselines::majority::HMajority;
 use np_baselines::voter::ZealotVoter;
 use np_engine::channel::ChannelKind;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::{ColumnarProtocol, Protocol};
+use np_engine::protocol::ColumnarProtocol;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
-fn bench_world_step<P: Protocol>(
+fn bench_world_step<P: ColumnarProtocol>(
     c: &mut Criterion,
     label: &str,
     proto: &P,
@@ -53,7 +51,7 @@ fn bench_protocols(c: &mut Criterion) {
     }
 }
 
-/// One `World::step` at 1 vs 4 worker threads over the columnar ports —
+/// One `World::step` at 1 vs 4 worker threads over the lane kernels —
 /// the speedup the per-agent-stream refactor buys on large populations.
 /// Trajectories are identical at every thread count, so the two variants
 /// measure the same work, only scheduled differently.
@@ -89,9 +87,15 @@ fn bench_chunked_scaling(c: &mut Criterion) {
     for &n in &[10_000usize, 100_000] {
         let config = PopulationConfig::new(n, 0, 1, n).unwrap();
         let sf_params = SfParams::derive(&config, 0.2, 1.0).unwrap();
-        bench_serial_vs_chunked(c, "sf", &ColumnarSourceFilter::new(sf_params), config, 0.2);
+        bench_serial_vs_chunked(c, "sf", &SourceFilter::new(sf_params), config, 0.2);
         let ssf_params = SsfParams::derive(&config, 0.1, 4.0).unwrap();
-        bench_serial_vs_chunked(c, "ssf", &ColumnarSsf::new(ssf_params), config, 0.1);
+        bench_serial_vs_chunked(
+            c,
+            "ssf",
+            &SelfStabilizingSourceFilter::new(ssf_params),
+            config,
+            0.1,
+        );
     }
 }
 

@@ -20,20 +20,16 @@
 //! `mean_rounds` = mean recovery rounds over recovered runs and
 //! `converged` = how many runs re-converged.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::SsfParams;
-use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfAgent};
+use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfColumns};
 use np_bench::harness::auto_channel;
 use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
-use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::ScalarState;
 use np_engine::runner::{run_batch, suggested_threads};
-use np_engine::streams::StreamRng;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::estimate::Running;
@@ -47,22 +43,8 @@ const INJECT_INTERVALS: u64 = 3;
 /// Total budget, in update intervals.
 const BUDGET_INTERVALS: u64 = 12;
 
-type SsfState = ScalarState<SsfAgent>;
-
-fn corrupt_event(adversary: SsfAdversary, correct: Opinion, m: u64) -> FaultEvent<SsfState> {
-    FaultEvent::Corrupt {
-        frac: 1.0,
-        label: adversary.name().to_string(),
-        fault: Arc::new(
-            move |state: &mut SsfState, id: usize, rng: &mut StreamRng| {
-                adversary.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
-            },
-        ),
-    }
-}
-
 /// One seeded faulted run: (recovery rounds if re-converged, wall ms).
-fn run_one(n: usize, event: FaultEvent<SsfState>, seed: u64) -> (Option<u64>, f64) {
+fn run_one(n: usize, event: FaultEvent<SsfColumns>, seed: u64) -> (Option<u64>, f64) {
     let config = PopulationConfig::new(n, 0, 1, n).expect("valid grid");
     let params = SsfParams::derive(&config, DELTA, C1).expect("valid grid");
     let noise = NoiseMatrix::uniform(4, DELTA).expect("valid delta");
@@ -97,7 +79,7 @@ fn measure_point(
     n: usize,
     runs: usize,
     master_seed: u64,
-    event: FaultEvent<SsfState>,
+    event: FaultEvent<SsfColumns>,
 ) -> PerfPoint {
     let results = run_batch(
         SeedSequence::new(master_seed),
@@ -189,7 +171,7 @@ fn main() {
             n,
             runs,
             0x7A57 ^ (adversary.name().len() as u64) << 5,
-            corrupt_event(adversary, correct, m),
+            adversary.fault_event(1.0, correct, m),
         );
         push_point(&mut table, interval, &point);
         points.push(point);

@@ -1,12 +1,11 @@
 //! Subcommand implementations for the `noisy-pull` CLI.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use noisy_pull::adversary::SsfAdversary;
 use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
-use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfAgent};
+use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use noisy_pull::theory;
 use np_baselines::majority::HMajority;
 use np_baselines::mean_estimator::MeanEstimator;
@@ -19,9 +18,8 @@ use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
-use np_engine::protocol::{Protocol, ScalarState};
+use np_engine::protocol::{ColumnarProtocol, ColumnarState};
 use np_engine::push::PushWorld;
-use np_engine::streams::StreamRng;
 use np_engine::topology::TopologySpec;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
@@ -358,7 +356,7 @@ where
     }
 }
 
-fn report_run<P: Protocol>(
+fn report_run<P: ColumnarProtocol>(
     world: &mut World<P>,
     budget: u64,
     label: &str,
@@ -423,8 +421,8 @@ fn report_run<P: Protocol>(
         // byte-identical across thread counts, and wall clocks are not.
         let t = trace.timings();
         println!(
-            "{label} stage wall-clock: display {:.3?}, observe {:.3?}, update {:.3?}, collect {:.3?}",
-            t.display, t.observe, t.update, t.collect
+            "{label} stage wall-clock: display {:.3?}, observe {:.3?}, collect {:.3?}",
+            t.display, t.observe, t.collect
         );
         if let Some(path) = &common.trace {
             save_trace_jsonl(path, trace.rounds()).map_err(err)?;
@@ -639,15 +637,7 @@ pub fn run_ssf(args: &Args) -> CliResult {
                             .join(", ")
                     )
                 })?;
-            Ok(FaultEvent::Corrupt {
-                frac,
-                label: kind.to_string(),
-                fault: Arc::new(
-                    move |state: &mut ScalarState<SsfAgent>, id: usize, rng: &mut StreamRng| {
-                        adv.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
-                    },
-                ),
-            })
+            Ok(adv.fault_event(frac, correct, m))
         })?;
         if common.restore.is_some() {
             world.reattach_fault_plan(plan).map_err(err)?;
@@ -1056,8 +1046,8 @@ impl ClusterFlags {
 /// report, and optionally writes an `np-run-summary/v1` artifact.
 fn run_cluster<P>(protocol: &P, label: &str, flags: &ClusterFlags, budget: u64) -> CliResult
 where
-    P: Protocol,
-    P::Agent: 'static,
+    P: ColumnarProtocol,
+    <P::State as ColumnarState>::Agent: 'static,
 {
     let report = if flags.transport == "tcp" {
         np_net::tcp::run_tcp_cluster(&flags.cfg, protocol, &flags.plan, budget).map_err(err)?
@@ -1178,6 +1168,7 @@ pub fn opinion_name(o: Opinion) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noisy_pull::ssf::SsfColumns;
 
     fn args(list: &[&str]) -> Args {
         Args::parse(list.iter().copied()).unwrap()
@@ -1423,21 +1414,15 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let plan: FaultPlan<ScalarState<SsfAgent>> =
-            parse_faults(&specs, 4, 0.1, no_corrupt_kinds).unwrap();
+        let plan: FaultPlan<SsfColumns> = parse_faults(&specs, 4, 0.1, no_corrupt_kinds).unwrap();
         assert_eq!(plan.len(), 4);
     }
 
     #[test]
     fn parse_faults_rejects_malformed_specs() {
         let check = |spec: &str, needle: &str| {
-            let e = parse_faults::<ScalarState<SsfAgent>>(
-                &[spec.to_string()],
-                4,
-                0.1,
-                no_corrupt_kinds,
-            )
-            .unwrap_err();
+            let e = parse_faults::<SsfColumns>(&[spec.to_string()], 4, 0.1, no_corrupt_kinds)
+                .unwrap_err();
             assert!(e.contains(needle), "`{spec}` → {e}");
         };
         check("nope", "round:kind");

@@ -202,3 +202,31 @@ fn cluster_tcp_run_converges() {
     assert!(out.contains("cluster[tcp]"), "{out}");
     assert!(out.contains("converged at round"), "{out}");
 }
+
+/// `--restore` of a snapshot in the per-agent state format that SF and
+/// SSF checkpoints used before they moved onto lane states
+/// (`sf-agent/v1`, `ssf-agent/v1`) fails with the tag mismatch and exit
+/// code 2 — no panic.
+#[test]
+fn restore_of_per_agent_format_snapshot_reports_tag_mismatch() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/");
+    for (protocol, file, want) in [
+        ("sf", "sf-agent-v1.snap", "sf-columns/v1"),
+        ("ssf", "ssf-agent-v1.snap", "ssf-columns/v1"),
+    ] {
+        let path = format!("{golden}{file}");
+        let err = run_err(&[
+            "run",
+            protocol,
+            "--n",
+            "16",
+            "--seed",
+            "7",
+            "--restore",
+            &path,
+        ]);
+        assert!(err.contains("state tag mismatch"), "{err}");
+        assert!(err.contains(want), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}

@@ -8,11 +8,15 @@
 //! [`crate::ssf::SsfAgent::corrupt_state`], which enforces exactly that
 //! boundary.
 
+use std::sync::Arc;
+
+use np_engine::faults::FaultEvent;
 use np_engine::opinion::Opinion;
+use np_engine::protocol::ColumnarState;
 use np_engine::streams::StreamRng;
 use rand::Rng;
 
-use crate::ssf::SsfAgent;
+use crate::ssf::{SsfAgent, SsfColumns};
 
 /// A named corruption strategy. `Wrong` below always refers to the
 /// complement of the correct opinion, i.e. the worst case for the
@@ -73,6 +77,7 @@ impl SsfAdversary {
     /// * `m` — the protocol's memory capacity (used to size fake
     ///   memories).
     /// * `id` — the agent id (used by id-dependent strategies).
+    #[inline]
     pub fn corrupt(
         self,
         agent: &mut SsfAgent,
@@ -123,6 +128,23 @@ impl SsfAdversary {
             }
         }
     }
+
+    /// A mid-run [`FaultEvent::Corrupt`] that re-applies this strategy to
+    /// each agent independently with probability `frac`, from the agents'
+    /// fault streams, labelled with [`SsfAdversary::name`].
+    pub fn fault_event(self, frac: f64, correct: Opinion, m: u64) -> FaultEvent<SsfColumns> {
+        FaultEvent::Corrupt {
+            frac,
+            label: self.name().to_string(),
+            fault: Arc::new(
+                move |state: &mut SsfColumns, id: usize, rng: &mut StreamRng| {
+                    let mut agent = state.agent(id);
+                    self.corrupt(&mut agent, correct, m, id, rng);
+                    state.set_agent(id, agent);
+                },
+            ),
+        }
+    }
 }
 
 impl std::fmt::Display for SsfAdversary {
@@ -137,7 +159,7 @@ mod tests {
     use crate::params::SsfParams;
     use crate::ssf::SelfStabilizingSourceFilter;
     use np_engine::population::{PopulationConfig, Role};
-    use np_engine::protocol::{AgentState, Protocol};
+    use np_engine::protocol::AgentState;
     use rand::SeedableRng;
 
     fn fresh_agent(m: u64) -> SsfAgent {

@@ -32,9 +32,12 @@
 //! * [`sf_alternating`] — the "more natural" alternating-display variant
 //!   from the Remark in §2.1, implemented so its plausibility can be
 //!   tested empirically.
-//! * [`columnar`] — struct-of-arrays ports of SF, SSF and SF-ALT for the
-//!   engine's chunk-parallel hot path, bit-identical to the scalar
-//!   implementations on the same seed.
+//!
+//! Each protocol is one implementation: a single update rule and a single
+//! display rule, written over one agent's lanes. The world runs them in
+//! struct-of-arrays chunk kernels; the same two functions step the plain
+//! per-agent record that message-passing nodes and per-agent reference
+//! runs use.
 //!
 //! # Quickstart
 //!
@@ -77,8 +80,8 @@
 mod error;
 
 pub mod adversary;
-pub mod columnar;
 pub mod counts;
+mod kernel;
 pub mod memory;
 pub mod params;
 pub mod reduction;

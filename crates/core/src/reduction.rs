@@ -15,9 +15,12 @@
 //! independently with the correct row distribution, so this is exactly
 //! Definition 6.
 
+use std::sync::Arc;
+
 use np_engine::opinion::Opinion;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::population::PopulationConfig;
+use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState, ScalarState};
+use np_engine::streams::{RoundStreams, StreamRng};
 use np_linalg::noise::NoiseMatrix;
 use np_stats::multinomial;
 
@@ -56,7 +59,7 @@ pub struct WithArtificialNoise<A> {
     artificial: NoiseMatrix,
 }
 
-impl<A: Protocol> WithArtificialNoise<A> {
+impl<A: ColumnarProtocol> WithArtificialNoise<A> {
     /// Wraps `inner` so its observations pass through `artificial` first.
     ///
     /// # Errors
@@ -89,7 +92,7 @@ impl<A: Protocol> WithArtificialNoise<A> {
 #[derive(Debug, Clone)]
 pub struct ArtificialNoiseAgent<S> {
     inner: S,
-    rows: std::sync::Arc<Vec<Vec<f64>>>,
+    rows: Arc<Vec<Vec<f64>>>,
     scratch: Vec<u64>,
     scattered: Vec<u64>,
 }
@@ -108,24 +111,35 @@ impl<S> ArtificialNoiseAgent<S> {
     }
 }
 
-impl<A: Protocol> Protocol for WithArtificialNoise<A> {
-    type Agent = ArtificialNoiseAgent<A::Agent>;
+/// Wrapped agents run through the per-agent adapter: each agent's
+/// record comes from the inner protocol's own population state, so it is
+/// drawn from the same [`np_engine::streams::StreamStage::Init`] stream as
+/// an unwrapped run.
+impl<A: ColumnarProtocol> ColumnarProtocol for WithArtificialNoise<A> {
+    type State = ScalarState<ArtificialNoiseAgent<<A::State as ColumnarState>::Agent>>;
 
     fn alphabet_size(&self) -> usize {
         self.inner.alphabet_size()
     }
 
-    fn init_agent(&self, role: np_engine::population::Role, rng: &mut StreamRng) -> Self::Agent {
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> Self::State {
         let d = self.artificial.dim();
-        let rows: Vec<Vec<f64>> = (0..d)
-            .map(|s| self.artificial.observation_distribution(s).to_vec())
-            .collect();
-        ArtificialNoiseAgent {
-            inner: self.inner.init_agent(role, rng),
-            rows: std::sync::Arc::new(rows),
-            scratch: vec![0; d],
-            scattered: vec![0; d],
-        }
+        let rows: Arc<Vec<Vec<f64>>> = Arc::new(
+            (0..d)
+                .map(|s| self.artificial.observation_distribution(s).to_vec())
+                .collect(),
+        );
+        let inner = self.inner.init_state(config, streams);
+        ScalarState::from_agents(
+            (0..inner.len())
+                .map(|id| ArtificialNoiseAgent {
+                    inner: inner.agent(id),
+                    rows: Arc::clone(&rows),
+                    scratch: vec![0; d],
+                    scattered: vec![0; d],
+                })
+                .collect(),
+        )
     }
 }
 
@@ -164,9 +178,7 @@ mod tests {
     use crate::params::SfParams;
     use crate::sf::SourceFilter;
     use np_engine::channel::ChannelKind;
-    use np_engine::population::{PopulationConfig, Role};
     use np_engine::world::World;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_mismatched_alphabet() {
@@ -224,8 +236,9 @@ mod tests {
             .unwrap();
         let swap = NoiseMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
         let proto = WithArtificialNoise::new(SourceFilter::new(params), swap).unwrap();
-        let mut rng = StreamRng::seed_from_u64(1);
-        let mut agent = proto.init_agent(Role::NonSource, &mut rng);
+        let streams = RoundStreams::new(1, 0);
+        let mut agent = proto.init_state(&config, &streams).agent(7);
+        let mut rng = streams.rng(7, np_engine::streams::StreamStage::Update);
         // Phase 0 lasts two rounds (m = 16, h = 8). The observation
         // [0 zeros, 8 ones] arrives swapped as [8, 0]: counter1 stays 0.
         agent.update(&[0, 8], &mut rng);
@@ -262,8 +275,8 @@ mod tests {
         assert_eq!(proto.alphabet_size(), 2);
         assert_eq!(proto.artificial(), &p);
         assert_eq!(proto.inner().params(), &params);
-        let mut rng = StreamRng::seed_from_u64(0);
-        let mut agent = proto.init_agent(Role::NonSource, &mut rng);
+        let state = proto.init_state(&config, &RoundStreams::new(0, 0));
+        let mut agent = state.agent(0);
         let _ = agent.inner_mut();
     }
 }

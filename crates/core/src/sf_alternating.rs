@@ -25,13 +25,23 @@
 //! phases make the background deterministic within each phase; SF-ALT's
 //! weak opinions are therefore expected to be slightly *less* accurate at
 //! equal `m` — quantified in EXP-VARIANT.
+//!
+//! As in [`crate::sf`], the update rule (`update`) and the display rule
+//! (`display`) are written once over one agent's lanes and shared by the
+//! lane state [`AltSfColumns`] and the per-agent record [`AltSfAgent`].
 
+use std::ops::Range;
+
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
-use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::packed::PackedChunkMut;
+use np_engine::population::{PopulationConfig, Role};
+use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState};
+use np_engine::snapshot::{SnapReader, SnapWriter, SnapshotState};
+use np_engine::streams::{RoundStreams, StreamRng, StreamStage};
 use rand::Rng;
 
+use crate::kernel::{flip_preference, majority, split_head, LazyRng};
 use crate::params::SfParams;
 
 /// The alternating-display Source Filter variant (Remark, §2.1). Shares
@@ -52,32 +62,123 @@ impl AlternatingSourceFilter {
     pub fn params(&self) -> &SfParams {
         &self.params
     }
+
+    /// The initial record of an agent with the given role; `rng` is its
+    /// [`StreamStage::Init`] stream.
+    pub fn init_agent(&self, role: Role, rng: &mut StreamRng) -> AltSfAgent {
+        AltSfAgent {
+            params: self.params,
+            role,
+            stage: LISTENING,
+            round_in_stage: 0,
+            base_display: Opinion::from_bool(rng.gen()),
+            diff: 0,
+            weak: None,
+            opinion: Opinion::from_bool(rng.gen()),
+            mem0: 0,
+            mem1: 0,
+        }
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    /// The combined listening stage (`2T` rounds).
-    Listening,
-    /// Majority boosting, with the sub-phase index.
-    Boost(u64),
-    /// Schedule complete.
-    Done,
+// Execution stage of an SF-ALT agent, held as its trace stage id. Stage
+// 1 is left unused so boost stages line up with plain SF's numbering.
+/// The combined listening stage (`2T` rounds).
+const LISTENING: u32 = 0;
+/// Majority boosting sub-phase `k` is stage `BOOST0 + k`.
+const BOOST0: u32 = 2;
+/// Schedule complete.
+const DONE: u32 = u32::MAX;
+
+/// The SF-ALT display rule: while listening, sources display their
+/// preference and non-sources alternate `b, 1−b, b, …` from their initial
+/// coin `b`; from boosting on everyone displays their opinion. Draws
+/// nothing.
+fn display(stage: u32, role: Role, round_in_stage: u64, base: Opinion, opinion: Opinion) -> usize {
+    match (stage, role) {
+        (LISTENING, Role::Source(pref)) => pref.as_index(),
+        (LISTENING, Role::NonSource) if round_in_stage.is_multiple_of(2) => base.as_index(),
+        (LISTENING, Role::NonSource) => (!base).as_index(),
+        _ => opinion.as_index(),
+    }
 }
 
-/// Per-agent state of SF-ALT.
-#[derive(Debug, Clone)]
+/// One agent's update-phase lanes.
+struct Lanes<'a> {
+    /// The stage id (see [`LISTENING`] … [`DONE`]).
+    stage: &'a mut u32,
+    round_in_stage: &'a mut u64,
+    /// Running `#1s − #0s` over all listening observations.
+    diff: &'a mut i64,
+    weak: &'a mut Option<Opinion>,
+    opinion: &'a mut Opinion,
+    /// Boosting memory: 0- and 1-messages of the current sub-phase.
+    mem0: &'a mut u64,
+    mem1: &'a mut u64,
+}
+
+/// The SF-ALT update rule: accumulate the signed evidence `#1s − #0s`
+/// over the `2T` listening rounds, take its sign as the weak opinion,
+/// then boost exactly as SF does. `coin` is a fair coin from the agent's
+/// [`StreamStage::Update`] stream, drawn only on a tie.
+fn update(params: &SfParams, a: Lanes<'_>, obs: &[u64], coin: &mut impl FnMut() -> bool) {
+    debug_assert_eq!(obs.len(), 2);
+    let next = match *a.stage {
+        LISTENING => {
+            *a.diff += obs[1] as i64 - obs[0] as i64;
+            (*a.round_in_stage + 1 >= 2 * params.phase_len()).then(|| {
+                let weak = majority((*a.diff).cmp(&0), coin);
+                *a.weak = Some(weak);
+                *a.opinion = weak;
+                BOOST0
+            })
+        }
+        DONE => return,
+        boost => {
+            *a.mem0 += obs[0];
+            *a.mem1 += obs[1];
+            let last = u64::from(boost - BOOST0) >= params.num_short_subphases();
+            let len = if last {
+                params.final_subphase_len()
+            } else {
+                params.subphase_len()
+            };
+            (*a.round_in_stage + 1 >= len).then(|| {
+                *a.opinion = majority((*a.mem1).cmp(a.mem0), coin);
+                if last {
+                    DONE
+                } else {
+                    boost + 1
+                }
+            })
+        }
+    };
+    match next {
+        // Every stage starts with an empty boosting memory.
+        Some(stage) => {
+            *a.stage = stage;
+            *a.round_in_stage = 0;
+            *a.mem0 = 0;
+            *a.mem1 = 0;
+        }
+        None => *a.round_in_stage += 1,
+    }
+}
+
+/// Per-agent record of SF-ALT.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AltSfAgent {
-    role: Role,
     params: SfParams,
-    stage: Stage,
+    role: Role,
+    stage: u32,
     round_in_stage: u64,
     /// The value displayed on even listening rounds (the initial coin).
     base_display: Opinion,
-    /// Running `#1s − #0s` over all listening observations.
     diff: i64,
     weak: Option<Opinion>,
     opinion: Opinion,
-    mem: [u64; 2],
+    mem0: u64,
+    mem1: u64,
 }
 
 impl AltSfAgent {
@@ -93,116 +194,40 @@ impl AltSfAgent {
 
     /// Returns `true` once the schedule has completed.
     pub fn is_done(&self) -> bool {
-        self.stage == Stage::Done
-    }
-
-    fn majority_of_mem(&self, rng: &mut StreamRng) -> Opinion {
-        match self.mem[1].cmp(&self.mem[0]) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
-        }
-    }
-}
-
-impl Protocol for AlternatingSourceFilter {
-    type Agent = AltSfAgent;
-
-    fn alphabet_size(&self) -> usize {
-        2
-    }
-
-    fn init_agent(&self, role: Role, rng: &mut StreamRng) -> AltSfAgent {
-        AltSfAgent {
-            role,
-            params: self.params,
-            stage: Stage::Listening,
-            round_in_stage: 0,
-            base_display: Opinion::from_bool(rng.gen()),
-            diff: 0,
-            weak: None,
-            opinion: Opinion::from_bool(rng.gen()),
-            mem: [0, 0],
-        }
+        self.stage == DONE
     }
 }
 
 impl AgentState for AltSfAgent {
     fn display(&self, _rng: &mut StreamRng) -> usize {
-        match self.stage {
-            Stage::Listening => match self.role {
-                Role::Source(pref) => pref.as_index(),
-                Role::NonSource => {
-                    // b on even rounds, 1−b on odd rounds.
-                    if self.round_in_stage.is_multiple_of(2) {
-                        self.base_display.as_index()
-                    } else {
-                        (!self.base_display).as_index()
-                    }
-                }
-            },
-            Stage::Boost(_) | Stage::Done => self.opinion.as_index(),
-        }
+        display(
+            self.stage,
+            self.role,
+            self.round_in_stage,
+            self.base_display,
+            self.opinion,
+        )
     }
 
     fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
-        debug_assert_eq!(observed.len(), 2);
-        match self.stage {
-            Stage::Listening => {
-                self.diff += observed[1] as i64 - observed[0] as i64;
-                self.round_in_stage += 1;
-                if self.round_in_stage >= 2 * self.params.phase_len() {
-                    let weak = match self.diff.cmp(&0) {
-                        std::cmp::Ordering::Greater => Opinion::One,
-                        std::cmp::Ordering::Less => Opinion::Zero,
-                        std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
-                    };
-                    self.weak = Some(weak);
-                    self.opinion = weak;
-                    self.stage = Stage::Boost(0);
-                    self.round_in_stage = 0;
-                    self.mem = [0, 0];
-                }
-            }
-            Stage::Boost(subphase) => {
-                self.mem[0] += observed[0];
-                self.mem[1] += observed[1];
-                self.round_in_stage += 1;
-                let len = if subphase < self.params.num_short_subphases() {
-                    self.params.subphase_len()
-                } else {
-                    self.params.final_subphase_len()
-                };
-                if self.round_in_stage >= len {
-                    self.opinion = self.majority_of_mem(rng);
-                    self.mem = [0, 0];
-                    self.round_in_stage = 0;
-                    if subphase >= self.params.num_short_subphases() {
-                        self.stage = Stage::Done;
-                    } else {
-                        self.stage = Stage::Boost(subphase + 1);
-                    }
-                }
-            }
-            Stage::Done => {}
-        }
+        let lanes = Lanes {
+            stage: &mut self.stage,
+            round_in_stage: &mut self.round_in_stage,
+            diff: &mut self.diff,
+            weak: &mut self.weak,
+            opinion: &mut self.opinion,
+            mem0: &mut self.mem0,
+            mem1: &mut self.mem1,
+        };
+        update(&self.params, lanes, observed, &mut || rng.gen());
     }
 
     fn opinion(&self) -> Opinion {
         self.opinion
     }
 
-    /// Stage numbering for traces: Listening = 0, Boost(k) = 2 + k,
-    /// Done = `u32::MAX`. Stage 1 is left unused so boost stages line up
-    /// with plain SF's numbering.
     fn stage_id(&self) -> u32 {
-        match self.stage {
-            Stage::Listening => 0,
-            Stage::Boost(k) => u32::try_from(k.saturating_add(2))
-                .unwrap_or(u32::MAX)
-                .min(u32::MAX - 1),
-            Stage::Done => u32::MAX,
-        }
+        self.stage
     }
 
     fn weak_opinion(&self) -> Option<Opinion> {
@@ -212,61 +237,361 @@ impl AgentState for AltSfAgent {
     /// Trend-change fault hook: the environment revises the ground truth
     /// (only sources carry a preference to flip).
     fn flip_source_preference(&mut self) -> bool {
-        if let Role::Source(pref) = self.role {
-            self.role = Role::Source(!pref);
-            true
-        } else {
-            false
+        flip_preference(&mut self.role)
+    }
+}
+
+/// Struct-of-arrays population state of SF-ALT: one lane per field of
+/// [`AltSfAgent`].
+#[derive(Debug, Clone)]
+pub struct AltSfColumns {
+    params: SfParams,
+    role: Vec<Role>,
+    stage: Vec<u32>,
+    round_in_stage: Vec<u64>,
+    base_display: Vec<Opinion>,
+    diff: Vec<i64>,
+    weak: Vec<Option<Opinion>>,
+    opinion: Vec<Opinion>,
+    mem0: Vec<u64>,
+    mem1: Vec<u64>,
+}
+
+/// Disjoint mutable chunk view over the update-phase lanes of
+/// [`AltSfColumns`].
+#[derive(Debug)]
+pub struct AltSfChunkMut<'a> {
+    params: SfParams,
+    stage: &'a mut [u32],
+    round_in_stage: &'a mut [u64],
+    diff: &'a mut [i64],
+    weak: &'a mut [Option<Opinion>],
+    opinion: &'a mut [Opinion],
+    mem0: &'a mut [u64],
+    mem1: &'a mut [u64],
+}
+
+impl AltSfChunkMut<'_> {
+    fn lanes(&mut self, i: usize) -> Lanes<'_> {
+        Lanes {
+            stage: &mut self.stage[i],
+            round_in_stage: &mut self.round_in_stage[i],
+            diff: &mut self.diff[i],
+            weak: &mut self.weak[i],
+            opinion: &mut self.opinion[i],
+            mem0: &mut self.mem0[i],
+            mem1: &mut self.mem1[i],
         }
     }
 }
 
-impl np_engine::snapshot::SnapshotAgent for AltSfAgent {
-    const SNAP_TAG: &'static str = "sf-alt-agent/v1";
+impl ColumnarProtocol for AlternatingSourceFilter {
+    type State = AltSfColumns;
 
-    fn encode_agent(&self, w: &mut np_engine::snapshot::SnapWriter) {
-        w.put_role(self.role);
-        self.params.encode_snap(w);
-        match self.stage {
-            Stage::Listening => w.put_u8(0),
-            Stage::Boost(k) => {
-                w.put_u8(1);
-                w.put_u64(k);
-            }
-            Stage::Done => w.put_u8(2),
-        }
-        w.put_u64(self.round_in_stage);
-        w.put_opinion(self.base_display);
-        w.put_i64(self.diff);
-        w.put_opt_opinion(self.weak);
-        w.put_opinion(self.opinion);
-        w.put_u64(self.mem[0]);
-        w.put_u64(self.mem[1]);
+    fn alphabet_size(&self) -> usize {
+        2
     }
 
-    fn decode_agent(r: &mut np_engine::snapshot::SnapReader<'_>) -> np_engine::Result<Self> {
-        let role = r.take_role()?;
-        let params = SfParams::decode_snap(r)?;
-        let stage = match r.take_u8()? {
-            0 => Stage::Listening,
-            1 => Stage::Boost(r.take_u64()?),
-            2 => Stage::Done,
-            x => {
-                return Err(np_engine::EngineError::BadSnapshot {
-                    detail: format!("invalid SF-ALT stage byte {x}"),
-                })
-            }
+    /// Only the role and the two init coins differ between initial
+    /// records, so the other lanes start filled (zeroed lanes cost no page
+    /// touches); debug builds check every agent against
+    /// [`AlternatingSourceFilter::init_agent`].
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> AltSfColumns {
+        let n = config.n();
+        let mut cols = AltSfColumns {
+            params: self.params,
+            role: Vec::with_capacity(n),
+            stage: vec![LISTENING; n],
+            round_in_stage: vec![0; n],
+            base_display: Vec::with_capacity(n),
+            diff: vec![0; n],
+            weak: vec![None; n],
+            opinion: Vec::with_capacity(n),
+            mem0: vec![0; n],
+            mem1: vec![0; n],
         };
-        Ok(AltSfAgent {
-            role,
+        for (id, role) in config.iter_roles().enumerate() {
+            let a = self.init_agent(role, &mut streams.rng(id, StreamStage::Init));
+            cols.role.push(a.role);
+            cols.base_display.push(a.base_display);
+            cols.opinion.push(a.opinion);
+            debug_assert_eq!(cols.agent(id), a);
+        }
+        cols
+    }
+}
+
+impl ColumnarState for AltSfColumns {
+    type ChunkMut<'a>
+        = AltSfChunkMut<'a>
+    where
+        Self: 'a;
+
+    type Agent = AltSfAgent;
+
+    fn len(&self) -> usize {
+        self.role.len()
+    }
+
+    // Per-agent loops (corruption, cluster set-up) copy records in and
+    // out; inlined, the copies of fields they overwrite fold away.
+    #[inline(always)]
+    fn agent(&self, id: usize) -> AltSfAgent {
+        AltSfAgent {
+            params: self.params,
+            role: self.role[id],
+            stage: self.stage[id],
+            round_in_stage: self.round_in_stage[id],
+            base_display: self.base_display[id],
+            diff: self.diff[id],
+            weak: self.weak[id],
+            opinion: self.opinion[id],
+            mem0: self.mem0[id],
+            mem1: self.mem1[id],
+        }
+    }
+
+    #[inline(always)]
+    fn set_agent(&mut self, id: usize, a: AltSfAgent) {
+        self.role[id] = a.role;
+        self.stage[id] = a.stage;
+        self.round_in_stage[id] = a.round_in_stage;
+        self.base_display[id] = a.base_display;
+        self.diff[id] = a.diff;
+        self.weak[id] = a.weak;
+        self.opinion[id] = a.opinion;
+        self.mem0[id] = a.mem0;
+        self.mem1[id] = a.mem1;
+    }
+
+    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
+        for (slot, id) in out.iter_mut().zip(range) {
+            *slot = display(
+                self.stage[id],
+                self.role[id],
+                self.round_in_stage[id],
+                self.base_display[id],
+                self.opinion[id],
+            );
+        }
+    }
+
+    fn display_chunk_packed(
+        &self,
+        range: Range<usize>,
+        chunk: &mut PackedChunkMut<'_>,
+        _streams: &RoundStreams,
+    ) {
+        debug_assert_eq!(chunk.start(), range.start);
+        debug_assert_eq!(chunk.len(), range.len());
+        // One plane (d = 2), built one 64-agent word per store.
+        let stage = &self.stage[range.clone()];
+        let role = &self.role[range.clone()];
+        let round_in_stage = &self.round_in_stage[range.clone()];
+        let base = &self.base_display[range.clone()];
+        let opinion = &self.opinion[range];
+        for (w, ((((stages, roles), rounds), bases), opinions)) in stage
+            .chunks(64)
+            .zip(role.chunks(64))
+            .zip(round_in_stage.chunks(64))
+            .zip(base.chunks(64))
+            .zip(opinion.chunks(64))
+            .enumerate()
+        {
+            let mut bits = 0u64;
+            for (b, ((((&st, &ro), &r), &bd), &op)) in stages
+                .iter()
+                .zip(roles)
+                .zip(rounds)
+                .zip(bases)
+                .zip(opinions)
+                .enumerate()
+            {
+                bits |= (display(st, ro, r, bd, op) as u64) << b;
+            }
+            chunk.set_plane_word(0, w, bits);
+        }
+    }
+
+    fn chunks_mut(&mut self, chunk_len: usize) -> Vec<AltSfChunkMut<'_>> {
+        let chunk_len = chunk_len.max(1);
+        let params = self.params;
+        let mut out = Vec::with_capacity(self.role.len().div_ceil(chunk_len));
+        let mut stage = self.stage.as_mut_slice();
+        let mut round_in_stage = self.round_in_stage.as_mut_slice();
+        let mut diff = self.diff.as_mut_slice();
+        let mut weak = self.weak.as_mut_slice();
+        let mut opinion = self.opinion.as_mut_slice();
+        let mut mem0 = self.mem0.as_mut_slice();
+        let mut mem1 = self.mem1.as_mut_slice();
+        while !stage.is_empty() {
+            let take = chunk_len.min(stage.len());
+            out.push(AltSfChunkMut {
+                params,
+                stage: split_head(&mut stage, take),
+                round_in_stage: split_head(&mut round_in_stage, take),
+                diff: split_head(&mut diff, take),
+                weak: split_head(&mut weak, take),
+                opinion: split_head(&mut opinion, take),
+                mem0: split_head(&mut mem0, take),
+                mem1: split_head(&mut mem1, take),
+            });
+        }
+        out
+    }
+
+    fn step_chunk(
+        chunk: &mut AltSfChunkMut<'_>,
+        range: Range<usize>,
+        observed: &[u64],
+        d: usize,
+        streams: &RoundStreams,
+        awake: Option<&[bool]>,
+    ) {
+        debug_assert_eq!(d, 2);
+        let params = chunk.params;
+        for ((i, id), obs) in (0..chunk.stage.len())
+            .zip(range)
+            .zip(observed.chunks_exact(d))
+        {
+            if awake.is_some_and(|mask| !mask[i]) {
+                continue;
+            }
+            let mut rng = LazyRng::new(streams, id, StreamStage::Update);
+            update(&params, chunk.lanes(i), obs, &mut || rng.coin());
+        }
+    }
+
+    fn opinion(&self, id: usize) -> Opinion {
+        self.opinion[id]
+    }
+
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.opinion.iter().filter(|&&o| o == opinion).count()
+    }
+
+    /// Fused lane sweep over the opinion, stage and weak lanes.
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        let lanes = self.opinion.iter().zip(&self.stage).zip(&self.weak);
+        MetricsSweep::from_agents(correct, lanes.map(|((&op, &st), &weak)| (op, st, weak)))
+    }
+
+    /// The lane form of [`AltSfAgent`]'s trend-change hook.
+    fn flip_source_preferences(&mut self) -> usize {
+        self.role
+            .iter_mut()
+            .map(flip_preference)
+            .filter(|&f| f)
+            .count()
+    }
+}
+
+impl SnapshotState for AltSfColumns {
+    const SNAP_TAG: &'static str = "sf-alt-columns/v1";
+
+    fn encode_state(&self, w: &mut SnapWriter) {
+        let n = self.role.len();
+        w.put_usize(n);
+        self.params.encode_snap(w);
+        for &role in &self.role {
+            w.put_role(role);
+        }
+        for &stage in &self.stage {
+            match stage {
+                LISTENING => w.put_u8(0),
+                DONE => w.put_u8(2),
+                boost => {
+                    w.put_u8(1);
+                    w.put_u64(u64::from(boost - BOOST0));
+                }
+            }
+        }
+        for lane in [&self.round_in_stage, &self.mem0, &self.mem1] {
+            for &x in lane {
+                w.put_u64(x);
+            }
+        }
+        for &base in &self.base_display {
+            w.put_opinion(base);
+        }
+        for &d in &self.diff {
+            w.put_i64(d);
+        }
+        for &weak in &self.weak {
+            w.put_opt_opinion(weak);
+        }
+        for &opinion in &self.opinion {
+            w.put_opinion(opinion);
+        }
+    }
+
+    fn decode_state(r: &mut SnapReader<'_>) -> np_engine::Result<Self> {
+        let n = r.take_usize()?;
+        let params = SfParams::decode_snap(r)?;
+        let cap = n.min(r.remaining());
+        let mut role = Vec::with_capacity(cap);
+        for _ in 0..n {
+            role.push(r.take_role()?);
+        }
+        let mut stage = Vec::with_capacity(cap);
+        for _ in 0..n {
+            stage.push(match r.take_u8()? {
+                0 => LISTENING,
+                1 => {
+                    let k = r.take_u64()?;
+                    u32::try_from(k)
+                        .ok()
+                        .and_then(|k| k.checked_add(BOOST0))
+                        .filter(|&stage| stage != DONE)
+                        .ok_or_else(|| np_engine::EngineError::BadSnapshot {
+                            detail: format!("SF-ALT boost sub-phase {k} out of range"),
+                        })?
+                }
+                2 => DONE,
+                x => {
+                    return Err(np_engine::EngineError::BadSnapshot {
+                        detail: format!("invalid SF-ALT stage byte {x}"),
+                    })
+                }
+            });
+        }
+        let mut u64_lane = || -> np_engine::Result<Vec<u64>> {
+            let mut lane = Vec::with_capacity(cap);
+            for _ in 0..n {
+                lane.push(r.take_u64()?);
+            }
+            Ok(lane)
+        };
+        let round_in_stage = u64_lane()?;
+        let mem0 = u64_lane()?;
+        let mem1 = u64_lane()?;
+        let mut base_display = Vec::with_capacity(cap);
+        for _ in 0..n {
+            base_display.push(r.take_opinion()?);
+        }
+        let mut diff = Vec::with_capacity(cap);
+        for _ in 0..n {
+            diff.push(r.take_i64()?);
+        }
+        let mut weak = Vec::with_capacity(cap);
+        for _ in 0..n {
+            weak.push(r.take_opt_opinion()?);
+        }
+        let mut opinion = Vec::with_capacity(cap);
+        for _ in 0..n {
+            opinion.push(r.take_opinion()?);
+        }
+        Ok(AltSfColumns {
             params,
+            role,
             stage,
-            round_in_stage: r.take_u64()?,
-            base_display: r.take_opinion()?,
-            diff: r.take_i64()?,
-            weak: r.take_opt_opinion()?,
-            opinion: r.take_opinion()?,
-            mem: [r.take_u64()?, r.take_u64()?],
+            round_in_stage,
+            base_display,
+            diff,
+            weak,
+            opinion,
+            mem0,
+            mem1,
         })
     }
 }

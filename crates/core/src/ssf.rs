@@ -27,17 +27,31 @@
 //! adversarially planted memory (see [`crate::adversary`] for the
 //! corruption strategies used in experiments).
 //!
+//! # One rule, two shapes
+//!
+//! The update rule (`update`) and the display rule (`display`) are
+//! written once, over references to one agent's lanes. The population
+//! state [`SsfColumns`] runs them in chunk kernels over one `Vec` lane per
+//! field (four for the memory); the per-agent record [`SsfAgent`] runs
+//! the same two functions through its [`AgentState`] impl.
+//!
 //! # Message encoding
 //!
 //! Symbols index the alphabet as `index = 2·tag + value`:
 //! `0 = (0,0)`, `1 = (0,1)`, `2 = (1,0)`, `3 = (1,1)`.
 
+use std::ops::Range;
+
+use np_engine::metrics::MetricsSweep;
 use np_engine::opinion::Opinion;
-use np_engine::population::Role;
-use np_engine::protocol::{AgentState, Protocol};
-use np_engine::streams::StreamRng;
+use np_engine::packed::PackedChunkMut;
+use np_engine::population::{PopulationConfig, Role};
+use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState};
+use np_engine::snapshot::{SnapReader, SnapWriter, SnapshotState};
+use np_engine::streams::{RoundStreams, StreamRng, StreamStage};
 use rand::Rng;
 
+use crate::kernel::{flip_preference, majority, split_head, LazyRng};
 use crate::params::SsfParams;
 
 /// Symbol index of the message `(tag, value)`.
@@ -97,14 +111,86 @@ impl SelfStabilizingSourceFilter {
     pub fn params(&self) -> &SsfParams {
         &self.params
     }
+
+    /// The initial record of an agent with the given role; `rng` is its
+    /// [`StreamStage::Init`] stream.
+    pub fn init_agent(&self, role: Role, rng: &mut StreamRng) -> SsfAgent {
+        SsfAgent {
+            role,
+            m: self.params.m(),
+            mem: [0; 4],
+            mem_size: 0,
+            weak: Opinion::from_bool(rng.gen()),
+            opinion: Opinion::from_bool(rng.gen()),
+            updates: 0,
+        }
+    }
 }
 
-/// Per-agent state of Algorithm SSF.
+/// The SSF display rule: sources display `(1, preference)`, non-sources
+/// `(0, weak opinion)`. Draws nothing.
+fn display(role: Role, weak: Opinion) -> usize {
+    match role {
+        Role::Source(pref) => encode(true, pref),
+        Role::NonSource => encode(false, weak),
+    }
+}
+
+/// The trace stage of an agent that completed `updates` update rounds,
+/// saturated into `u32`.
+fn flush_stage(updates: u64) -> u32 {
+    u32::try_from(updates).unwrap_or(u32::MAX)
+}
+
+/// One agent's update-phase lanes.
+struct Lanes<'a> {
+    /// Message multiset `M` as per-symbol counts (see the module docs for
+    /// the encoding).
+    mem: &'a mut [u64; 4],
+    /// `|M|`.
+    mem_size: &'a mut u64,
+    weak: &'a mut Opinion,
+    opinion: &'a mut Opinion,
+    /// Completed update rounds (memory flushes), for traces.
+    updates: &'a mut u64,
+}
+
+/// The SSF update rule — the memory-flush majority: add the round's
+/// messages to `M`; once `|M|` reaches the capacity `m`, set the weak
+/// opinion to the majority among source-tagged messages and the opinion
+/// to the majority of all messages, then empty `M`. `coin` is a fair coin
+/// from the agent's [`StreamStage::Update`] stream, drawn only on ties
+/// (weak tie first, then opinion tie).
+fn update(m: u64, a: Lanes<'_>, obs: &[u64], coin: &mut impl FnMut() -> bool) {
+    debug_assert_eq!(obs.len(), 4);
+    for (slot, &c) in a.mem.iter_mut().zip(obs) {
+        *slot += c;
+    }
+    *a.mem_size += obs.iter().sum::<u64>();
+    np_engine::invariants::check_counter_bounded(
+        "SSF memory counters",
+        a.mem.iter().sum::<u64>(),
+        *a.mem_size,
+    );
+    if *a.mem_size >= m {
+        let [m0, m1, m2, m3] = *a.mem;
+        // Weak opinion: majority of second bits among source-tagged
+        // messages — (1,1) vs (1,0).
+        *a.weak = majority(m3.cmp(&m2), coin);
+        // Opinion: majority of all second bits — (·,1) vs (·,0).
+        *a.opinion = majority((m1 + m3).cmp(&(m0 + m2)), coin);
+        *a.mem = [0; 4];
+        *a.mem_size = 0;
+        *a.updates = a.updates.saturating_add(1);
+    }
+}
+
+/// Per-agent record of Algorithm SSF.
 ///
 /// All fields the adversary of the self-stabilizing setting may corrupt are
 /// reachable through [`SsfAgent::corrupt_state`]; the role and the
 /// knowledge of `m` are protected, matching Section 1.3.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsfAgent {
     role: Role,
     m: u64,
@@ -153,72 +239,29 @@ impl SsfAgent {
     ///
     /// `memory` may contain arbitrary fake samples; its total may even
     /// exceed `m` (the next update will consume and flush it).
+    #[inline]
     pub fn corrupt_state(&mut self, weak: Opinion, opinion: Opinion, memory: [u64; 4]) {
         self.weak = weak;
         self.opinion = opinion;
         self.mem = memory;
         self.mem_size = memory.iter().sum();
     }
-
-    fn majority(one_side: u64, zero_side: u64, rng: &mut StreamRng) -> Opinion {
-        match one_side.cmp(&zero_side) {
-            std::cmp::Ordering::Greater => Opinion::One,
-            std::cmp::Ordering::Less => Opinion::Zero,
-            std::cmp::Ordering::Equal => Opinion::from_bool(rng.gen()),
-        }
-    }
-}
-
-impl Protocol for SelfStabilizingSourceFilter {
-    type Agent = SsfAgent;
-
-    fn alphabet_size(&self) -> usize {
-        4
-    }
-
-    fn init_agent(&self, role: Role, rng: &mut StreamRng) -> SsfAgent {
-        SsfAgent {
-            role,
-            m: self.params.m(),
-            mem: [0; 4],
-            mem_size: 0,
-            weak: Opinion::from_bool(rng.gen()),
-            opinion: Opinion::from_bool(rng.gen()),
-            updates: 0,
-        }
-    }
 }
 
 impl AgentState for SsfAgent {
     fn display(&self, _rng: &mut StreamRng) -> usize {
-        match self.role {
-            Role::Source(pref) => encode(true, pref),
-            Role::NonSource => encode(false, self.weak),
-        }
+        display(self.role, self.weak)
     }
 
     fn update(&mut self, observed: &[u64], rng: &mut StreamRng) {
-        debug_assert_eq!(observed.len(), 4);
-        for (slot, &c) in self.mem.iter_mut().zip(observed) {
-            *slot += c;
-        }
-        self.mem_size += observed.iter().sum::<u64>();
-        np_engine::invariants::check_counter_bounded(
-            "SSF memory counters",
-            self.mem.iter().sum::<u64>(),
-            self.mem_size,
-        );
-        if self.mem_size >= self.m {
-            // Weak opinion: majority of second bits among source-tagged
-            // messages — (1,1) vs (1,0).
-            self.weak = SsfAgent::majority(self.mem[3], self.mem[2], rng);
-            // Opinion: majority of all second bits — (·,1) vs (·,0).
-            self.opinion =
-                SsfAgent::majority(self.mem[1] + self.mem[3], self.mem[0] + self.mem[2], rng);
-            self.mem = [0; 4];
-            self.mem_size = 0;
-            self.updates = self.updates.saturating_add(1);
-        }
+        let lanes = Lanes {
+            mem: &mut self.mem,
+            mem_size: &mut self.mem_size,
+            weak: &mut self.weak,
+            opinion: &mut self.opinion,
+            updates: &mut self.updates,
+        };
+        update(self.m, lanes, observed, &mut || rng.gen());
     }
 
     fn opinion(&self) -> Opinion {
@@ -229,7 +272,7 @@ impl AgentState for SsfAgent {
     /// completed update rounds (saturated into `u32`), so stage
     /// transitions show the `m`-sample cadence of Theorem 5.
     fn stage_id(&self) -> u32 {
-        u32::try_from(self.updates).unwrap_or(u32::MAX)
+        flush_stage(self.updates)
     }
 
     fn weak_opinion(&self) -> Option<Opinion> {
@@ -240,39 +283,290 @@ impl AgentState for SsfAgent {
     /// fault is the environment itself revising the ground truth — only
     /// this engine hook may touch the preference.
     fn flip_source_preference(&mut self) -> bool {
-        if let Role::Source(pref) = self.role {
-            self.role = Role::Source(!pref);
-            true
-        } else {
-            false
+        flip_preference(&mut self.role)
+    }
+}
+
+/// Struct-of-arrays population state of SSF: one lane per field of
+/// [`SsfAgent`].
+#[derive(Debug, Clone)]
+pub struct SsfColumns {
+    m: u64,
+    role: Vec<Role>,
+    /// Memory `M` as per-symbol counts (see [`encode`]); the four counts
+    /// of an agent are always updated together.
+    mem: Vec<[u64; 4]>,
+    mem_size: Vec<u64>,
+    weak: Vec<Opinion>,
+    opinion: Vec<Opinion>,
+    updates: Vec<u64>,
+}
+
+/// Disjoint mutable chunk view over the update-phase lanes of
+/// [`SsfColumns`].
+#[derive(Debug)]
+pub struct SsfChunkMut<'a> {
+    m: u64,
+    mem: &'a mut [[u64; 4]],
+    mem_size: &'a mut [u64],
+    weak: &'a mut [Opinion],
+    opinion: &'a mut [Opinion],
+    updates: &'a mut [u64],
+}
+
+impl SsfChunkMut<'_> {
+    fn lanes(&mut self, i: usize) -> Lanes<'_> {
+        Lanes {
+            mem: &mut self.mem[i],
+            mem_size: &mut self.mem_size[i],
+            weak: &mut self.weak[i],
+            opinion: &mut self.opinion[i],
+            updates: &mut self.updates[i],
         }
     }
 }
 
-impl np_engine::snapshot::SnapshotAgent for SsfAgent {
-    const SNAP_TAG: &'static str = "ssf-agent/v1";
+impl ColumnarProtocol for SelfStabilizingSourceFilter {
+    type State = SsfColumns;
 
-    fn encode_agent(&self, w: &mut np_engine::snapshot::SnapWriter) {
-        w.put_role(self.role);
-        w.put_u64(self.m);
-        for &count in &self.mem {
-            w.put_u64(count);
-        }
-        w.put_u64(self.mem_size);
-        w.put_opinion(self.weak);
-        w.put_opinion(self.opinion);
-        w.put_u64(self.updates);
+    fn alphabet_size(&self) -> usize {
+        4
     }
 
-    fn decode_agent(r: &mut np_engine::snapshot::SnapReader<'_>) -> np_engine::Result<Self> {
-        Ok(SsfAgent {
-            role: r.take_role()?,
-            m: r.take_u64()?,
-            mem: [r.take_u64()?, r.take_u64()?, r.take_u64()?, r.take_u64()?],
-            mem_size: r.take_u64()?,
-            weak: r.take_opinion()?,
-            opinion: r.take_opinion()?,
-            updates: r.take_u64()?,
+    /// Only the role and the two init coins differ between initial
+    /// records, so the other lanes start filled (zeroed lanes cost no page
+    /// touches); debug builds check every agent against
+    /// [`SelfStabilizingSourceFilter::init_agent`].
+    fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> SsfColumns {
+        let n = config.n();
+        let mut cols = SsfColumns {
+            m: self.params.m(),
+            role: Vec::with_capacity(n),
+            mem: vec![[0; 4]; n],
+            mem_size: vec![0; n],
+            weak: Vec::with_capacity(n),
+            opinion: Vec::with_capacity(n),
+            updates: vec![0; n],
+        };
+        for (id, role) in config.iter_roles().enumerate() {
+            let a = self.init_agent(role, &mut streams.rng(id, StreamStage::Init));
+            cols.role.push(a.role);
+            cols.weak.push(a.weak);
+            cols.opinion.push(a.opinion);
+            debug_assert_eq!(cols.agent(id), a);
+        }
+        cols
+    }
+}
+
+impl ColumnarState for SsfColumns {
+    type ChunkMut<'a>
+        = SsfChunkMut<'a>
+    where
+        Self: 'a;
+
+    type Agent = SsfAgent;
+
+    fn len(&self) -> usize {
+        self.role.len()
+    }
+
+    // Per-agent loops (corruption, cluster set-up) copy records in and
+    // out; inlined, the copies of fields they overwrite fold away.
+    #[inline(always)]
+    fn agent(&self, id: usize) -> SsfAgent {
+        SsfAgent {
+            role: self.role[id],
+            m: self.m,
+            mem: self.mem[id],
+            mem_size: self.mem_size[id],
+            weak: self.weak[id],
+            opinion: self.opinion[id],
+            updates: self.updates[id],
+        }
+    }
+
+    #[inline(always)]
+    fn set_agent(&mut self, id: usize, a: SsfAgent) {
+        self.role[id] = a.role;
+        self.mem[id] = a.mem;
+        self.mem_size[id] = a.mem_size;
+        self.weak[id] = a.weak;
+        self.opinion[id] = a.opinion;
+        self.updates[id] = a.updates;
+    }
+
+    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
+        for (slot, id) in out.iter_mut().zip(range) {
+            *slot = display(self.role[id], self.weak[id]);
+        }
+    }
+
+    fn display_chunk_packed(
+        &self,
+        range: Range<usize>,
+        chunk: &mut PackedChunkMut<'_>,
+        _streams: &RoundStreams,
+    ) {
+        debug_assert_eq!(chunk.start(), range.start);
+        debug_assert_eq!(chunk.len(), range.len());
+        // Two planes (d = 4): plane 1 carries the source tag, plane 0 the
+        // displayed value — the bit layout of [`encode`] — built one
+        // 64-agent word per store.
+        let role = &self.role[range.clone()];
+        let weak = &self.weak[range];
+        for (w, (roles, weaks)) in role.chunks(64).zip(weak.chunks(64)).enumerate() {
+            let mut low = 0u64;
+            let mut high = 0u64;
+            for (b, (&ro, &wk)) in roles.iter().zip(weaks).enumerate() {
+                let sym = display(ro, wk);
+                low |= ((sym & 1) as u64) << b;
+                high |= ((sym >> 1) as u64) << b;
+            }
+            chunk.set_plane_word(0, w, low);
+            chunk.set_plane_word(1, w, high);
+        }
+    }
+
+    fn chunks_mut(&mut self, chunk_len: usize) -> Vec<SsfChunkMut<'_>> {
+        let chunk_len = chunk_len.max(1);
+        let m = self.m;
+        let mut out = Vec::with_capacity(self.role.len().div_ceil(chunk_len));
+        let mut mem = self.mem.as_mut_slice();
+        let mut mem_size = self.mem_size.as_mut_slice();
+        let mut weak = self.weak.as_mut_slice();
+        let mut opinion = self.opinion.as_mut_slice();
+        let mut updates = self.updates.as_mut_slice();
+        while !mem_size.is_empty() {
+            let take = chunk_len.min(mem_size.len());
+            out.push(SsfChunkMut {
+                m,
+                mem: split_head(&mut mem, take),
+                mem_size: split_head(&mut mem_size, take),
+                weak: split_head(&mut weak, take),
+                opinion: split_head(&mut opinion, take),
+                updates: split_head(&mut updates, take),
+            });
+        }
+        out
+    }
+
+    fn step_chunk(
+        chunk: &mut SsfChunkMut<'_>,
+        range: Range<usize>,
+        observed: &[u64],
+        d: usize,
+        streams: &RoundStreams,
+        awake: Option<&[bool]>,
+    ) {
+        debug_assert_eq!(d, 4);
+        let m = chunk.m;
+        for ((i, id), obs) in (0..chunk.mem_size.len())
+            .zip(range)
+            .zip(observed.chunks_exact(d))
+        {
+            if awake.is_some_and(|mask| !mask[i]) {
+                continue;
+            }
+            let mut rng = LazyRng::new(streams, id, StreamStage::Update);
+            update(m, chunk.lanes(i), obs, &mut || rng.coin());
+        }
+    }
+
+    fn opinion(&self, id: usize) -> Opinion {
+        self.opinion[id]
+    }
+
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.opinion.iter().filter(|&&o| o == opinion).count()
+    }
+
+    /// Fused lane sweep over the opinion, update-count and weak lanes
+    /// (every SSF agent always has a weak opinion).
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        let lanes = self.opinion.iter().zip(&self.updates).zip(&self.weak);
+        MetricsSweep::from_agents(
+            correct,
+            lanes.map(|((&op, &updates), &weak)| (op, flush_stage(updates), Some(weak))),
+        )
+    }
+
+    /// The lane form of [`SsfAgent`]'s trend-change hook.
+    fn flip_source_preferences(&mut self) -> usize {
+        self.role
+            .iter_mut()
+            .map(flip_preference)
+            .filter(|&f| f)
+            .count()
+    }
+}
+
+impl SnapshotState for SsfColumns {
+    const SNAP_TAG: &'static str = "ssf-columns/v1";
+
+    fn encode_state(&self, w: &mut SnapWriter) {
+        let n = self.role.len();
+        w.put_usize(n);
+        w.put_u64(self.m);
+        for &role in &self.role {
+            w.put_role(role);
+        }
+        // Symbol-major, one lane per symbol.
+        for k in 0..4 {
+            for counts in &self.mem {
+                w.put_u64(counts[k]);
+            }
+        }
+        for lane in [&self.mem_size, &self.updates] {
+            for &x in lane {
+                w.put_u64(x);
+            }
+        }
+        for &weak in &self.weak {
+            w.put_opinion(weak);
+        }
+        for &opinion in &self.opinion {
+            w.put_opinion(opinion);
+        }
+    }
+
+    fn decode_state(r: &mut SnapReader<'_>) -> np_engine::Result<Self> {
+        let n = r.take_usize()?;
+        let m = r.take_u64()?;
+        let cap = n.min(r.remaining());
+        let mut role = Vec::with_capacity(cap);
+        for _ in 0..n {
+            role.push(r.take_role()?);
+        }
+        let mut u64_lane = || -> np_engine::Result<Vec<u64>> {
+            let mut lane = Vec::with_capacity(cap);
+            for _ in 0..n {
+                lane.push(r.take_u64()?);
+            }
+            Ok(lane)
+        };
+        let lanes = [u64_lane()?, u64_lane()?, u64_lane()?, u64_lane()?];
+        let mem = (0..n)
+            .map(|id| std::array::from_fn(|k| lanes[k][id]))
+            .collect();
+        let mem_size = u64_lane()?;
+        let updates = u64_lane()?;
+        let mut weak = Vec::with_capacity(cap);
+        for _ in 0..n {
+            weak.push(r.take_opinion()?);
+        }
+        let mut opinion = Vec::with_capacity(cap);
+        for _ in 0..n {
+            opinion.push(r.take_opinion()?);
+        }
+        Ok(SsfColumns {
+            m,
+            role,
+            mem,
+            mem_size,
+            weak,
+            opinion,
+            updates,
         })
     }
 }

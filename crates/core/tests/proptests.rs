@@ -8,7 +8,7 @@ use noisy_pull::ssf::{decode, encode, SelfStabilizingSourceFilter};
 use noisy_pull::theory;
 use np_engine::opinion::Opinion;
 use np_engine::population::{PopulationConfig, Role};
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, ColumnarProtocol};
 use np_engine::streams::StreamRng;
 use proptest::prelude::*;
 use rand::SeedableRng;

@@ -36,7 +36,7 @@ use crate::metrics::RoundMetrics;
 
 /// A per-agent state corruption, applied to the fraction of agents a
 /// [`FaultEvent::Corrupt`] selects. `S` is the protocol's population
-/// state (e.g. `ScalarState<SsfAgent>` or a columnar port).
+/// state (e.g. `SsfColumns` or a `ScalarState`).
 ///
 /// Implemented for free by any `Fn(&mut S, usize, &mut StreamRng)` closure.
 pub trait StateFault<S>: Send + Sync {

@@ -84,6 +84,7 @@
 //! use rand::Rng;
 //!
 //! struct Majority;
+//! #[derive(Clone)]
 //! struct MajorityAgent {
 //!     role: Role,
 //!     opinion: Opinion,

@@ -128,10 +128,10 @@ pub struct RoundMetrics {
     pub correct: usize,
     /// Stage occupancy: `(stage_id, agents in that stage)`, sorted by
     /// stage id, omitting empty stages. Stage ids come from
-    /// [`crate::protocol::ColumnarState::stage_id`].
+    /// [`crate::protocol::AgentState::stage_id`].
     pub stages: Vec<(u32, usize)>,
     /// Agents whose weak opinion has formed
-    /// ([`crate::protocol::ColumnarState::weak_opinion`] is `Some`).
+    /// ([`crate::protocol::AgentState::weak_opinion`] is `Some`).
     pub weak_formed: usize,
     /// Of those, how many weak opinions are correct.
     pub weak_correct: usize,
@@ -153,9 +153,9 @@ impl RoundMetrics {
 /// The result of one observability sweep over the population
 /// ([`crate::protocol::ColumnarState::metrics_sweep`]): the
 /// state-dependent fields of [`RoundMetrics`], before the world adds the
-/// round number and fault labels. Columnar ports fill this in one fused
+/// round number and fault labels. Lane states fill this in one fused
 /// pass over their lanes; the trait default walks the per-agent
-/// accessors. Both must agree exactly — these numbers flow into
+/// records. Both must agree exactly — these numbers flow into
 /// byte-compared run summaries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSweep {
@@ -168,6 +168,32 @@ pub struct MetricsSweep {
     pub weak_formed: usize,
     /// Of those, how many weak opinions are correct.
     pub weak_correct: usize,
+}
+
+impl MetricsSweep {
+    /// Tallies one `(opinion, stage id, weak opinion)` triple per agent,
+    /// relative to the `correct` opinion.
+    pub fn from_agents(
+        correct: Opinion,
+        agents: impl IntoIterator<Item = (Opinion, u32, Option<Opinion>)>,
+    ) -> Self {
+        let mut sweep = MetricsSweep::default();
+        let mut stages: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
+        for (opinion, stage, weak) in agents {
+            if opinion == correct {
+                sweep.correct += 1;
+            }
+            *stages.entry(stage).or_insert(0) += 1;
+            if let Some(weak) = weak {
+                sweep.weak_formed += 1;
+                if weak == correct {
+                    sweep.weak_correct += 1;
+                }
+            }
+        }
+        sweep.stages = stages.into_iter().collect();
+        sweep
+    }
 }
 
 /// Wall-clock time spent in each phase of one round.
@@ -185,9 +211,6 @@ pub struct StageTimings {
     /// path fuses phases 2–4 into one scatter, so sampling, noise and
     /// updates are timed together here.
     pub observe: Duration,
-    /// Always zero under the fused hot path; kept so accumulated timing
-    /// totals and their serialized forms stay shape-compatible.
-    pub update: Duration,
     /// The observer's own metrics pass (stage/opinion sweep).
     pub collect: Duration,
 }
@@ -195,14 +218,13 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum of all phases.
     pub fn total(&self) -> Duration {
-        self.display + self.observe + self.update + self.collect
+        self.display + self.observe + self.collect
     }
 
     /// Accumulates another round's timings into this one.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.display += other.display;
         self.observe += other.observe;
-        self.update += other.update;
         self.collect += other.collect;
     }
 }
@@ -343,7 +365,6 @@ mod tests {
         let t1 = StageTimings {
             display: Duration::from_micros(3),
             observe: Duration::from_micros(5),
-            update: Duration::from_micros(7),
             collect: Duration::from_micros(2),
         };
         rec.on_round(&sample_metrics(1, 6), &t1);
@@ -352,7 +373,7 @@ mod tests {
         assert_eq!(rec.rounds()[0].correct, 6);
         assert_eq!(rec.last().map(|m| m.round), Some(2));
         assert_eq!(rec.timings().display, Duration::from_micros(6));
-        assert_eq!(rec.timings().total(), Duration::from_micros(34));
+        assert_eq!(rec.timings().total(), Duration::from_micros(20));
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl PackedChunkMut<'_> {
 
     /// Stores one whole word of plane `plane` — the display bits of the
     /// 64 agents at chunk-local indices `word * 64 ..` in one write. This
-    /// is the fast path for hand-written columnar ports; bits past the
+    /// is the fast path for lane-state kernels; bits past the
     /// chunk's population (only possible in the final word) are masked
     /// off so the all-tail-zero invariant the popcount histograms rely on
     /// can never be violated by a caller.

@@ -3,26 +3,23 @@
 //!
 //! Two levels exist:
 //!
-//! * The **scalar** level — [`Protocol`] / [`AgentState`] — one state
-//!   machine per agent, the natural way to write a protocol. Each round the
-//!   world calls [`AgentState::display`] on every agent, routes the
-//!   displayed symbols through the noisy channel, and then calls
-//!   [`AgentState::update`] with the agent's observation counts.
-//!
-//! * The **columnar** level — [`ColumnarProtocol`] / [`ColumnarState`] —
+//! * The **population** level — [`ColumnarProtocol`] / [`ColumnarState`] —
 //!   one struct-of-arrays state for the whole population, processed in
-//!   agent *chunks*. This is what [`crate::world::World`] actually runs:
-//!   chunks go to scoped threads, and per-agent RNG streams
-//!   ([`crate::streams`]) keep the result bit-identical for any thread
-//!   count or chunk size.
+//!   agent *chunks*. This is what [`crate::world::World`] runs: chunks go
+//!   to scoped threads, and per-agent RNG streams ([`crate::streams`])
+//!   keep the result bit-identical for any thread count or chunk size.
+//!   Every state also reads and writes one agent at a time as a plain
+//!   record ([`ColumnarState::agent`] / [`ColumnarState::set_agent`]), the
+//!   seam for per-agent inspection, adversarial corruption and
+//!   message-passing nodes.
 //!
-//! Every scalar protocol is automatically a columnar one through the
-//! blanket adapter (`impl<P: Protocol> ColumnarProtocol for P`), whose
-//! state is a [`ScalarState`] (a plain `Vec` of agents chunked by
-//! sub-slices). Hand-written columnar ports — new types, since the blanket
-//! impl owns the trait for every `Protocol` — replicate the scalar draw
-//! sequence against the same streams and therefore agree bit-for-bit with
-//! their scalar counterparts (tested in the `noisy-pull` crate).
+//! * The **agent** level — [`Protocol`] / [`AgentState`] — one state
+//!   machine per agent. An [`AgentState`] is the record type of a
+//!   population state and steps on its own (the message-passing runtime
+//!   drives records node by node). A [`Protocol`] is the short way to write
+//!   a simple protocol: the blanket adapter
+//!   (`impl<P: Protocol> ColumnarProtocol for P`) runs it on a
+//!   [`ScalarState`], a plain `Vec` of agents chunked by sub-slices.
 //!
 //! # Why observations are count vectors
 //!
@@ -63,8 +60,10 @@ pub trait Protocol {
 /// The per-agent, per-round behaviour of a protocol.
 ///
 /// `Send + Sync` is required because the world shares agent state across
-/// chunk workers; agent states are plain data, so the bounds are free.
-pub trait AgentState: Send + Sync {
+/// chunk workers, and `Clone` because population states hand out copies
+/// of their records ([`ColumnarState::agent`]); agent states are plain
+/// data, so the bounds are free.
+pub trait AgentState: Clone + Send + Sync {
     /// The symbol (index into `Σ`) this agent displays this round.
     ///
     /// Called exactly once per round, *before* any observations are
@@ -111,8 +110,7 @@ pub trait AgentState: Send + Sync {
 /// struct-of-arrays population state.
 ///
 /// Implemented automatically for every [`Protocol`] (via [`ScalarState`]);
-/// implement it directly on a *new* type to provide a hand-tuned columnar
-/// port.
+/// implement it directly to run on struct-of-arrays lanes.
 pub trait ColumnarProtocol {
     /// The whole-population state type.
     type State: ColumnarState;
@@ -122,8 +120,9 @@ pub trait ColumnarProtocol {
 
     /// Builds the initial population state. Implementations must draw each
     /// agent's initialization randomness from
-    /// `streams.rng(id, StreamStage::Init)` so scalar and columnar forms of
-    /// the same protocol initialize identically.
+    /// `streams.rng(id, StreamStage::Init)`, so every consumer of the
+    /// state — the world, a message-passing cluster, a per-agent reference
+    /// run — starts from the same agents.
     fn init_state(&self, config: &PopulationConfig, streams: &RoundStreams) -> Self::State;
 }
 
@@ -142,8 +141,27 @@ pub trait ColumnarState: Send + Sync {
     where
         Self: 'a;
 
+    /// The plain per-agent record of this state: what the per-agent
+    /// surfaces — [`crate::world::World::agent`], adversarial corruption,
+    /// message-passing nodes — read and write.
+    type Agent: AgentState;
+
     /// Number of agents.
     fn len(&self) -> usize;
+
+    /// A copy of agent `id`'s record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.len()`.
+    fn agent(&self, id: usize) -> Self::Agent;
+
+    /// Overwrites agent `id`'s record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.len()`.
+    fn set_agent(&mut self, id: usize, agent: Self::Agent);
 
     /// Returns `true` for an empty population (never built by the world;
     /// provided for completeness).
@@ -156,7 +174,7 @@ pub trait ColumnarState: Send + Sync {
     /// randomness must use `streams.rng(id, StreamStage::Display)` per
     /// agent.
     ///
-    /// This is the *scalar seam*: the exact channel's literal sampling
+    /// This is the *per-symbol seam*: the exact channel's literal sampling
     /// path and the equivalence tests consume it. The hot round loop
     /// displays through [`ColumnarState::display_chunk_packed`] instead.
     fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams);
@@ -167,12 +185,12 @@ pub trait ColumnarState: Send + Sync {
     /// (`chunk.start() == range.start`, `chunk.len() == range.len()`);
     /// implementations must clear it first and must produce **the same
     /// symbols** as [`ColumnarState::display_chunk`] for the same streams
-    /// — the packed-vs-scalar equivalence tests hold every implementation
-    /// to that.
+    /// — the packed-vs-per-agent equivalence tests hold every
+    /// implementation to that.
     ///
-    /// The blanket scalar adapter routes through
-    /// [`ColumnarState::display_chunk`] in 64-agent windows; hand-written
-    /// columnar ports write bit planes directly.
+    /// The blanket [`ScalarState`] adapter routes through
+    /// [`ColumnarState::display_chunk`] in 64-agent windows; lane states
+    /// write bit planes directly.
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -222,85 +240,40 @@ pub trait ColumnarState: Send + Sync {
     fn opinion(&self, id: usize) -> Opinion;
 
     /// Number of agents currently holding `opinion`. The default scans
-    /// [`ColumnarState::opinion`]; columnar ports may override with a
-    /// column sweep.
+    /// [`ColumnarState::opinion`]; lane states may override with a column
+    /// sweep.
     fn count_opinion(&self, opinion: Opinion) -> usize {
         (0..self.len())
             .filter(|&i| self.opinion(i) == opinion)
             .count()
     }
 
-    /// The stage id of agent `id` — the columnar form of
-    /// [`AgentState::stage_id`]. Observability only; the default reports a
-    /// single stage `0`.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `id >= self.len()`.
-    fn stage_id(&self, _id: usize) -> u32 {
-        0
-    }
-
-    /// The weak opinion of agent `id`, once formed — the columnar form of
-    /// [`AgentState::weak_opinion`]. Observability only; the default
-    /// reports `None`.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `id >= self.len()`.
-    fn weak_opinion(&self, _id: usize) -> Option<Opinion> {
-        None
-    }
-
     /// One observability sweep over the population: correct-opinion
     /// count, stage occupancy, and weak-opinion accuracy, all relative to
-    /// `correct`. This is what [`crate::world::World`] collects into
-    /// [`crate::metrics::RoundMetrics`] each observed round — the default
-    /// walks the per-agent accessors; columnar ports override it with a
-    /// single fused pass over their lanes. Overrides must be *value*-
-    /// identical to the default (the run-summary artifacts are
-    /// byte-compared), including the ascending-stage-id order.
-    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
-        let mut sweep = MetricsSweep::default();
-        let mut stages: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-        for id in 0..self.len() {
-            if self.opinion(id) == correct {
-                sweep.correct += 1;
-            }
-            *stages.entry(self.stage_id(id)).or_insert(0) += 1;
-            if let Some(weak) = self.weak_opinion(id) {
-                sweep.weak_formed += 1;
-                if weak == correct {
-                    sweep.weak_correct += 1;
-                }
-            }
-        }
-        sweep.stages = stages.into_iter().collect();
-        sweep
-    }
+    /// `correct` — what [`crate::world::World`] collects into
+    /// [`crate::metrics::RoundMetrics`] each observed round. It must equal
+    /// [`MetricsSweep::from_agents`] over every agent's record (the
+    /// run-summary artifacts are byte-compared); lane states compute it
+    /// in one fused pass over their lanes.
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep;
 }
 
 /// The adapter state behind the blanket `Protocol → ColumnarProtocol`
-/// impl: a plain vector of scalar agents, chunked by sub-slices.
+/// impl: a plain vector of agents, chunked by sub-slices.
 #[derive(Debug, Clone)]
 pub struct ScalarState<A> {
     agents: Vec<A>,
 }
 
 impl<A> ScalarState<A> {
+    /// Builds a state from agents in id order.
+    pub fn from_agents(agents: Vec<A>) -> Self {
+        ScalarState { agents }
+    }
+
     /// Read access to the underlying agents, in id order.
     pub fn agents(&self) -> &[A] {
         &self.agents
-    }
-
-    /// Mutable access to the underlying agents, in id order.
-    pub fn agents_mut(&mut self) -> &mut [A] {
-        &mut self.agents
-    }
-
-    /// Rebuilds a state from decoded agents (snapshot restore path).
-    pub(crate) fn from_agents(agents: Vec<A>) -> Self {
-        ScalarState { agents }
     }
 }
 
@@ -310,8 +283,18 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
     where
         Self: 'a;
 
+    type Agent = A;
+
     fn len(&self) -> usize {
         self.agents.len()
+    }
+
+    fn agent(&self, id: usize) -> A {
+        self.agents[id].clone()
+    }
+
+    fn set_agent(&mut self, id: usize, agent: A) {
+        self.agents[id] = agent;
     }
 
     fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams) {
@@ -331,9 +314,9 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         debug_assert_eq!(chunk.len(), range.len());
         chunk.clear();
         let d = chunk.alphabet_size();
-        // Scalar agents produce symbols one at a time; pack through a
-        // stack window so the alphabet invariant is checked with the
-        // same global-agent-naming panic the scalar path raises.
+        // Agents produce symbols one at a time; pack through a stack
+        // window so the alphabet invariant is checked with the same
+        // global-agent-naming panic the per-symbol path raises.
         let mut window = [0usize; 64];
         let mut start = range.start;
         let mut local = 0;
@@ -390,12 +373,13 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         self.agents[id].opinion()
     }
 
-    fn stage_id(&self, id: usize) -> u32 {
-        self.agents[id].stage_id()
-    }
-
-    fn weak_opinion(&self, id: usize) -> Option<Opinion> {
-        self.agents[id].weak_opinion()
+    fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
+        MetricsSweep::from_agents(
+            correct,
+            self.agents
+                .iter()
+                .map(|a| (a.opinion(), a.stage_id(), a.weak_opinion())),
+        )
     }
 }
 
@@ -428,6 +412,7 @@ mod tests {
     /// A protocol that displays its opinion and never changes it — enough
     /// to exercise the trait plumbing.
     struct Stubborn;
+    #[derive(Clone)]
     struct StubbornAgent(Opinion);
 
     impl Protocol for Stubborn {
@@ -485,10 +470,9 @@ mod tests {
         let state = ColumnarProtocol::init_state(&Stubborn, &cfg, &streams);
         // Stubborn does not override the observability hooks, so every
         // agent sits in the default single stage with no weak opinion.
-        for id in 0..state.len() {
-            assert_eq!(ColumnarState::stage_id(&state, id), 0);
-            assert_eq!(ColumnarState::weak_opinion(&state, id), None);
-        }
+        let sweep = state.metrics_sweep(Opinion::One);
+        assert_eq!(sweep.stages, vec![(0, 3)]);
+        assert_eq!((sweep.correct, sweep.weak_formed), (2, 0));
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! [`SnapReader::finish`] rejects trailing bytes, so truncated or
 //! oversized payloads cannot slip through.
 //!
-//! Protocol states opt in by implementing [`SnapshotState`] (columnar
-//! ports) or [`SnapshotAgent`] (scalar agents; the blanket impl lifts an
-//! agent codec to its [`ScalarState`]). Each implementation carries a
+//! Protocol states opt in by implementing [`SnapshotState`] (lane
+//! states) or [`SnapshotAgent`] (agents of simple protocols; the blanket
+//! impl lifts an agent codec to its [`ScalarState`]). Each implementation carries a
 //! `SNAP_TAG` naming its layout version; restoring a snapshot under a
 //! different tag fails loudly instead of misreading bytes.
 
@@ -296,11 +296,11 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// A scalar agent state that can round-trip through the `np-snap/v1`
+/// An agent state that can round-trip through the `np-snap/v1`
 /// encoding. Implementing this lifts the codec to the agent's
 /// [`ScalarState`] via the blanket [`SnapshotState`] impl.
 pub trait SnapshotAgent: AgentState + Sized {
-    /// Layout-version tag for this agent encoding (e.g. `"sf-agent/v1"`).
+    /// Layout-version tag for this agent encoding (e.g. `"majority-agent/v1"`).
     /// Restoring under a different tag is rejected.
     const SNAP_TAG: &'static str;
 
@@ -321,8 +321,8 @@ pub trait SnapshotAgent: AgentState + Sized {
 /// and [`crate::world::World::restore`] are generic over.
 pub trait SnapshotState: ColumnarState + Sized {
     /// Layout-version tag for this state encoding (e.g.
-    /// `"sf-columns/v1"`). Scalar and columnar layouts of the same
-    /// protocol carry distinct tags: their bytes are not interchangeable.
+    /// `"sf-columns/v1"`). Distinct layouts of the same protocol carry
+    /// distinct tags: their bytes are not interchangeable.
     const SNAP_TAG: &'static str;
 
     /// Appends the full population state to `w`.

@@ -9,9 +9,9 @@
 //! This is the determinism contract of the parallel engine: because an
 //! agent's randomness is a pure function of its coordinate, the execution
 //! is bit-identical no matter how agents are grouped into chunks or how
-//! chunks are scheduled onto threads. It also means scalar
-//! [`crate::protocol::Protocol`] implementations and their columnar ports
-//! agree exactly — both consume the same streams at the same coordinates.
+//! chunks are scheduled onto threads. It also means a lane state and the
+//! same protocol's per-agent records stepped one at a time agree exactly
+//! — both consume the same streams at the same coordinates.
 
 use np_stats::streams::{round_prefix, stream_seed_from_prefix};
 

@@ -39,7 +39,7 @@ use crate::metrics::{
 use crate::opinion::Opinion;
 use crate::packed::{self, PackedDisplays};
 use crate::population::PopulationConfig;
-use crate::protocol::{ColumnarProtocol, ColumnarState, Protocol};
+use crate::protocol::{ColumnarProtocol, ColumnarState};
 use crate::runner;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotState, SNAP_MAGIC, SNAP_MAGIC_V2};
 use crate::streams::{RoundStreams, StreamStage};
@@ -63,9 +63,10 @@ struct ActiveRamp {
 /// same arguments produce identical executions, regardless of the thread
 /// count either one uses.
 ///
-/// Scalar protocols ([`Protocol`]) run through the blanket columnar
-/// adapter; the extra methods [`World::agent`], [`World::iter_agents`] and
-/// [`World::corrupt_agents`] are available for them.
+/// Simple protocols ([`crate::protocol::Protocol`]) run through the
+/// blanket adapter; every protocol's agents are reachable one record at a
+/// time through [`World::agent`], [`World::iter_agents`] and
+/// [`World::corrupt_agents`].
 ///
 /// # Example
 ///
@@ -273,6 +274,41 @@ impl<P: ColumnarProtocol> World<P> {
     /// adversary hooks go through here).
     pub fn state_mut(&mut self) -> &mut P::State {
         &mut self.state
+    }
+
+    /// A copy of agent `id`'s record (experiments inspect weak opinions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn agent(&self, id: usize) -> <P::State as ColumnarState>::Agent {
+        self.state.agent(id)
+    }
+
+    /// Iterates over copies of all agent records in id order.
+    pub fn iter_agents(&self) -> impl Iterator<Item = <P::State as ColumnarState>::Agent> + '_ {
+        (0..self.state.len()).map(|id| self.state.agent(id))
+    }
+
+    /// Applies an arbitrary mutation to every agent's record *before* the
+    /// run starts — the self-stabilization adversary of Section 1.3. The
+    /// closure receives the agent id, a mutable reference to its record,
+    /// and the agent's [`StreamStage::Corrupt`] stream for the current
+    /// round.
+    ///
+    /// Roles are not passed: the model forbids the adversary from changing
+    /// them (it may only corrupt internal state).
+    pub fn corrupt_agents<F>(&mut self, mut corrupt: F)
+    where
+        F: FnMut(usize, &mut <P::State as ColumnarState>::Agent, &mut StreamRng),
+    {
+        let streams = RoundStreams::new(self.seed, self.round);
+        for id in 0..self.state.len() {
+            let mut agent = self.state.agent(id);
+            let mut rng = streams.rng(id, StreamStage::Corrupt);
+            corrupt(id, &mut agent, &mut rng);
+            self.state.set_agent(id, agent);
+        }
     }
 
     /// The current opinion vector, in agent-id order.
@@ -647,8 +683,7 @@ impl<P: ColumnarProtocol> World<P> {
             }
         }
 
-        // The fused pass is timed as `observe`; `update` stays zero under
-        // the packed hot path (see `StageTimings`).
+        // The fused pass is timed as `observe` (see `StageTimings`).
         if let Some(clock) = clock.as_mut() {
             timings.observe = clock.lap();
         }
@@ -674,7 +709,7 @@ impl<P: ColumnarProtocol> World<P> {
     /// One O(n) sweep over the population collecting the round snapshot:
     /// correct count, stage occupancy, and weak-opinion accuracy. The
     /// sweep itself is the state's [`ColumnarState::metrics_sweep`] —
-    /// columnar ports override it with fused lane passes; the values are
+    /// lane states override it with fused lane passes; the values are
     /// identical to the default per-agent walk by contract.
     fn collect_round_metrics(&self, faults: Vec<String>) -> RoundMetrics {
         let sweep = self.state.metrics_sweep(self.correct_opinion);
@@ -1052,42 +1087,6 @@ where
     }
 }
 
-/// Scalar conveniences, available when the protocol runs through the
-/// blanket adapter (its state is a [`crate::protocol::ScalarState`]).
-impl<P: Protocol> World<P> {
-    /// Read access to an agent's state (experiments inspect weak opinions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn agent(&self, id: usize) -> &P::Agent {
-        &self.state.agents()[id]
-    }
-
-    /// Iterates over all agent states in id order.
-    pub fn iter_agents(&self) -> impl Iterator<Item = &P::Agent> {
-        self.state.agents().iter()
-    }
-
-    /// Applies an arbitrary mutation to every agent's state *before* the
-    /// run starts — the self-stabilization adversary of Section 1.3. The
-    /// closure receives the agent id, a mutable reference to its state, and
-    /// the agent's [`StreamStage::Corrupt`] stream for the current round.
-    ///
-    /// Roles are not passed: the model forbids the adversary from changing
-    /// them (it may only corrupt internal state).
-    pub fn corrupt_agents<F>(&mut self, mut corrupt: F)
-    where
-        F: FnMut(usize, &mut P::Agent, &mut StreamRng),
-    {
-        let streams = RoundStreams::new(self.seed, self.round);
-        for (id, agent) in self.state.agents_mut().iter_mut().enumerate() {
-            let mut rng = streams.rng(id, StreamStage::Corrupt);
-            corrupt(id, agent, &mut rng);
-        }
-    }
-}
-
 impl<P: ColumnarProtocol> std::fmt::Debug for World<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -1103,12 +1102,13 @@ impl<P: ColumnarProtocol> std::fmt::Debug for World<P> {
 mod tests {
     use super::*;
     use crate::population::Role;
-    use crate::protocol::AgentState;
+    use crate::protocol::{AgentState, Protocol};
     use rand::Rng;
 
     /// Copy-the-majority test protocol; sources stubbornly display and hold
     /// their preference.
     struct Majority;
+    #[derive(Clone)]
     struct MajorityAgent {
         role: Role,
         opinion: Opinion,
@@ -1420,6 +1420,7 @@ mod tests {
     #[should_panic(expected = "outside the 2-symbol alphabet")]
     fn rogue_display_is_caught_by_invariants() {
         struct Rogue;
+        #[derive(Clone)]
         struct RogueAgent;
         impl Protocol for Rogue {
             type Agent = RogueAgent;
@@ -1466,7 +1467,9 @@ mod tests {
             frac,
             label: "zero-out".to_string(),
             fault: Arc::new(|state: &mut MajState, id: usize, _rng: &mut StreamRng| {
-                state.agents_mut()[id].opinion = Opinion::Zero;
+                let mut agent = state.agent(id);
+                agent.opinion = Opinion::Zero;
+                state.set_agent(id, agent);
             }),
         }
     }

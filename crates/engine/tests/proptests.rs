@@ -159,6 +159,7 @@ proptest! {
         use np_engine::world::World;
 
         struct Flip;
+        #[derive(Clone)]
         struct FlipAgent(Opinion);
         impl Protocol for Flip {
             type Agent = FlipAgent;

@@ -23,9 +23,9 @@
 //!   dropped.
 //!
 //! The protocol logic itself is untouched: nodes are generic over the
-//! scalar [`np_engine::protocol::AgentState`] seam, so the exact `SfAgent`
-//! / `SsfAgent` state machines that the round engine executes are the ones
-//! running behind the transport.
+//! per-agent record seam ([`np_engine::protocol::AgentState`]), and the
+//! `SfAgent` / `SsfAgent` records run the same update and display rules
+//! as the round engine's lane kernels.
 //!
 //! # The `Transport` seam
 //!

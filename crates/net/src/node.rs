@@ -1,6 +1,6 @@
 //! The event-driven protocol node and its sans-io `Transport` seam.
 //!
-//! A [`Node`] wraps one scalar protocol agent
+//! A [`Node`] wraps one protocol agent record
 //! ([`np_engine::protocol::AgentState`]) and turns the round-based
 //! display/observe/update cycle into a timer-driven local loop with **no
 //! global barrier**:
@@ -81,9 +81,9 @@ pub struct NodeStats {
     pub replies_counted: u64,
 }
 
-/// One protocol agent behind a transport. Generic over the scalar agent
-/// seam, so the exact `SfAgent`/`SsfAgent` state machines of the round
-/// engine run here unchanged.
+/// One protocol agent behind a transport. Generic over the per-agent
+/// record seam, so the update and display rules of the round engine's
+/// `SfAgent`/`SsfAgent` records run here unchanged.
 #[derive(Debug)]
 pub struct Node<A: AgentState> {
     id: u64,
@@ -280,7 +280,6 @@ mod tests {
     use noisy_pull::ssf::SelfStabilizingSourceFilter;
     use np_engine::channel::{Channel, ChannelKind};
     use np_engine::population::{PopulationConfig, Role};
-    use np_engine::protocol::Protocol;
     use np_linalg::noise::NoiseMatrix;
 
     struct Sink(Vec<NodeAction>);

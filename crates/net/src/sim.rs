@@ -23,7 +23,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use np_engine::channel::{Channel, ChannelKind};
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState};
 use np_engine::streams::{RoundStreams, StreamRng, StreamStage};
 use np_linalg::noise::NoiseMatrix;
 use rand::Rng;
@@ -103,14 +103,15 @@ pub struct SimCluster<A: AgentState> {
 
 impl<A: AgentState> SimCluster<A> {
     /// Builds the cluster: validates config and fault plan, instantiates
-    /// one node per population member (roles and initial states drawn
-    /// from the same round-0 streams the engine uses), and staggers each
-    /// node's first tick uniformly over `cfg.stagger_ns`.
-    pub fn new<P: Protocol<Agent = A>>(
-        cfg: &ClusterConfig,
-        protocol: &P,
-        faults: &NetFaultPlan,
-    ) -> Result<Self> {
+    /// one node per population member (its record read from the
+    /// protocol's own initial population state, built from the same
+    /// round-0 streams the engine uses), and staggers each node's first
+    /// tick uniformly over `cfg.stagger_ns`.
+    pub fn new<P>(cfg: &ClusterConfig, protocol: &P, faults: &NetFaultPlan) -> Result<Self>
+    where
+        P: ColumnarProtocol,
+        P::State: ColumnarState<Agent = A>,
+    {
         cfg.validate()?;
         let pop = cfg.population()?;
         let n64 = u64::try_from(cfg.n).unwrap_or(u64::MAX);
@@ -120,6 +121,7 @@ impl<A: AgentState> SimCluster<A> {
         let correct_byte = pop.correct_opinion().as_byte();
 
         let boot = RoundStreams::new(cfg.seed, 0);
+        let initial = protocol.init_state(&pop, &boot);
         let mut nodes = Vec::with_capacity(cfg.n);
         let mut opinions = Vec::with_capacity(cfg.n);
         let mut weaks = Vec::with_capacity(cfg.n);
@@ -128,7 +130,7 @@ impl<A: AgentState> SimCluster<A> {
         let mut heap = BinaryHeap::new();
         let mut seq = 0u64;
         for i in 0..cfg.n {
-            let agent = protocol.init_agent(pop.role_of(i), &mut boot.rng(i, StreamStage::Init));
+            let agent = initial.agent(i);
             opinions.push(agent.opinion().as_byte());
             weaks.push(agent.weak_opinion().map_or(WEAK_NONE, |w| w.as_byte()));
             let id = u64::try_from(i).unwrap_or(u64::MAX);

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use np_engine::channel::{Channel, ChannelKind};
 use np_engine::opinion::Opinion;
-use np_engine::protocol::{AgentState, Protocol};
+use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState};
 use np_engine::streams::{RoundStreams, StreamStage};
 use np_linalg::noise::NoiseMatrix;
 use rand::Rng;
@@ -183,8 +183,8 @@ pub fn run_tcp_cluster<P>(
     budget_rounds: u64,
 ) -> Result<ClusterReport>
 where
-    P: Protocol,
-    P::Agent: 'static,
+    P: ColumnarProtocol,
+    <P::State as ColumnarState>::Agent: 'static,
 {
     cfg.validate()?;
     let pop = cfg.population()?;
@@ -210,9 +210,10 @@ where
 
     // Node threads.
     let boot = RoundStreams::new(cfg.seed, 0);
+    let initial = protocol.init_state(&pop, &boot);
     let mut node_handles = Vec::with_capacity(cfg.n);
     for i in 0..cfg.n {
-        let agent = protocol.init_agent(pop.role_of(i), &mut boot.rng(i, StreamStage::Init));
+        let agent = initial.agent(i);
         let id = u64::try_from(i).unwrap_or(u64::MAX);
         let node = Node::new(
             id,

@@ -371,9 +371,9 @@ pub const SCOPES: &[ScopeDef] = &[
         files: &[
             "crates/engine/src/channel.rs",
             "crates/engine/src/protocol.rs",
-            "crates/core/src/columnar/sf.rs",
-            "crates/core/src/columnar/sf_alt.rs",
-            "crates/core/src/columnar/ssf.rs",
+            "crates/core/src/sf.rs",
+            "crates/core/src/sf_alternating.rs",
+            "crates/core/src/ssf.rs",
             "crates/baselines/src/majority.rs",
         ],
         exclude_files: &[],

@@ -12,7 +12,7 @@
 use xtask::legacy;
 use xtask::rules::{
     all_rule_names, BASE_RULES, HOT_LOOP_RULES, HOT_PATH_RULES, PHASE_KERNEL_RULES,
-    PROTOCOL_CLOCK_RULES, SNAPSHOT_PATH_RULES, UNKNOWN_ALLOW_MSG,
+    PROTOCOL_CLOCK_RULES, SCOPES, SNAPSHOT_PATH_RULES, UNKNOWN_ALLOW_MSG,
 };
 use xtask::scanner::{analyze_source, FileClass, Finding, RuleSet};
 
@@ -184,6 +184,42 @@ fn hot_loop_rng_construct_fires_only_inside_kernel_fns() {
     // inside the scoped kernels; the unscoped function and the
     // stream-derived / allowed patterns stay silent.
     assert_eq!(got, expect("hot-loop-rng-construct", &[7, 8, 9, 16]));
+}
+
+/// The `phase-kernel` scope covers the protocol modules that hold the
+/// lane kernels: each file is listed, scans clean as committed, and a
+/// per-agent allocation injected into its `step_chunk` fires
+/// `hot-loop-rng-construct`.
+#[test]
+fn phase_kernel_scope_covers_the_protocol_kernels() {
+    let scope = SCOPES
+        .iter()
+        .find(|s| s.name == "phase-kernel")
+        .expect("phase-kernel scope");
+    let sets = [RuleSet::in_fns(scope.name, scope.rules, scope.fns)];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in [
+        "crates/core/src/sf.rs",
+        "crates/core/src/ssf.rs",
+        "crates/core/src/sf_alternating.rs",
+    ] {
+        assert!(scope.files.contains(&file), "{file} not in phase-kernel");
+        let text = std::fs::read_to_string(root.join(file)).expect("kernel source");
+        let fires = |text: &str| {
+            analyze_source(FileClass::LibrarySource, text, &sets)
+                .iter()
+                .any(|f| f.rule == "hot-loop-rng-construct")
+        };
+        assert!(!fires(&text), "{file} has kernel findings as committed");
+        let at = text.find("fn step_chunk(").expect("step_chunk");
+        let body = at + text[at..].find(") {").expect("step_chunk body") + 3;
+        let injected = format!(
+            "{}\n        let _per_agent: Vec<u64> = Vec::new();{}",
+            &text[..body],
+            &text[body..]
+        );
+        assert!(fires(&injected), "{file}: injected allocation not caught");
+    }
 }
 
 #[test]

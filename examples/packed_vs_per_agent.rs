@@ -1,29 +1,34 @@
-//! Packed-vs-scalar artifact diff: the hand-written packed bit-plane
-//! kernels (`ColumnarSourceFilter`) and the scalar per-agent path
-//! (`SourceFilter`, through the `ScalarState` blanket adapter) must write
-//! byte-identical trajectory artifacts for the same seed — per-round
-//! JSONL trace and end-of-run summary, under both the aggregated
-//! (popcount-histogram) and exact (unpack-seam) channels.
+//! Packed-vs-per-agent artifact diff: SF's packed bit-plane lane kernels
+//! (`SourceFilter`) and the per-agent reference (the same `SfAgent`
+//! record stepped one agent at a time through the engine's `ScalarState`
+//! adapter) must write byte-identical trajectory artifacts for the same
+//! seed — per-round JSONL trace and end-of-run summary, under both the
+//! aggregated (popcount-histogram) and exact (unpack-seam) channels.
 //!
-//! The scalar run is the reference: it re-derives the "golden" bytes on
-//! every invocation, so the diff can never go stale against trajectory
-//! changes that move both paths together, while still failing the moment
-//! the packed kernels drift from the scalar semantics.
+//! Both sides run SF's one update rule and one display rule; the diff
+//! checks the lanes, chunking, bit-plane packing and lazy RNG creation
+//! against plain per-agent plumbing. The per-agent run is the reference:
+//! it re-derives the bytes on every invocation, so the diff never goes
+//! stale against trajectory changes that move both sides together.
 //!
 //! ```text
-//! cargo run --release --example packed_vs_scalar [OUT_DIR]
+//! cargo run --release --example packed_vs_per_agent [OUT_DIR]
 //! ```
 //!
-//! Writes `{scalar,packed}_{agg,exact}_trace.jsonl` and the matching
+//! Writes `{per_agent,packed}_{agg,exact}_trace.jsonl` and the matching
 //! `*_summary.json` files into `OUT_DIR` (default
-//! `target/experiments/packed_vs_scalar`), then exits nonzero if any
-//! scalar/packed pair differs.
+//! `target/experiments/packed_vs_per_agent`), then exits nonzero if any
+//! per-agent/packed pair differs.
 
 use std::path::{Path, PathBuf};
 
 use noisy_pull_repro::prelude::*;
 use np_bench::report::{trace_jsonl, RunSummary};
 use np_engine::protocol::ColumnarProtocol;
+
+#[path = "../tests/support/per_agent.rs"]
+mod per_agent;
+use per_agent::PerAgent;
 
 const N: usize = 256;
 const SEED: u64 = 7;
@@ -55,11 +60,11 @@ fn write(dir: &Path, name: &str, text: &str) -> std::io::Result<PathBuf> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = std::env::args().nth(1).map_or_else(
-        || Path::new("target/experiments").join("packed_vs_scalar"),
+        || Path::new("target/experiments").join("packed_vs_per_agent"),
         PathBuf::from,
     );
     std::fs::create_dir_all(&out)?;
-    println!("packed-vs-scalar artifact diff: n={N} seed={SEED} δ={DELTA}");
+    println!("packed-vs-per-agent artifact diff: n={N} seed={SEED} δ={DELTA}");
 
     let mut mismatches = 0usize;
     for (kind, tag) in [
@@ -68,18 +73,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let config = PopulationConfig::new(N, 0, 1, N)?;
         let params = SfParams::derive(&config, DELTA, 1.0)?;
-        let (scalar_trace, scalar_summary) = run(&SourceFilter::new(params), kind)?;
-        let (packed_trace, packed_summary) = run(&ColumnarSourceFilter::new(params), kind)?;
-        write(&out, &format!("scalar_{tag}_trace.jsonl"), &scalar_trace)?;
+        let (ref_trace, ref_summary) = run(&PerAgent(SourceFilter::new(params)), kind)?;
+        let (packed_trace, packed_summary) = run(&SourceFilter::new(params), kind)?;
+        write(&out, &format!("per_agent_{tag}_trace.jsonl"), &ref_trace)?;
         write(&out, &format!("packed_{tag}_trace.jsonl"), &packed_trace)?;
-        write(&out, &format!("scalar_{tag}_summary.json"), &scalar_summary)?;
+        write(&out, &format!("per_agent_{tag}_summary.json"), &ref_summary)?;
         write(&out, &format!("packed_{tag}_summary.json"), &packed_summary)?;
-        let trace_ok = scalar_trace == packed_trace;
-        let summary_ok = scalar_summary == packed_summary;
+        let trace_ok = ref_trace == packed_trace;
+        let summary_ok = ref_summary == packed_summary;
         println!(
             "  {tag}: trace {} ({} rounds), summary {}",
             if trace_ok { "identical" } else { "DIFFERS" },
-            scalar_trace.lines().count(),
+            ref_trace.lines().count(),
             if summary_ok { "identical" } else { "DIFFERS" },
         );
         mismatches += usize::from(!trace_ok) + usize::from(!summary_ok);

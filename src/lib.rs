@@ -50,9 +50,6 @@ pub use np_stats as stats;
 /// One-stop imports for examples and downstream quickstarts.
 pub mod prelude {
     pub use noisy_pull::adversary::SsfAdversary;
-    pub use noisy_pull::columnar::sf::ColumnarSourceFilter;
-    pub use noisy_pull::columnar::sf_alt::ColumnarAltSf;
-    pub use noisy_pull::columnar::ssf::ColumnarSsf;
     pub use noisy_pull::params::{SfParams, SsfParams};
     pub use noisy_pull::reduction::WithArtificialNoise;
     pub use noisy_pull::sf::SourceFilter;

@@ -10,6 +10,10 @@
 use noisy_pull_repro::prelude::*;
 use np_bench::report::{round_json, trace_jsonl, RunSummary};
 
+#[path = "support/per_agent.rs"]
+mod per_agent;
+use per_agent::PerAgent;
+
 const THREADS: [usize; 3] = [1, 2, 7];
 
 fn sf_world() -> (World<SourceFilter>, SfParams) {
@@ -157,15 +161,17 @@ fn ssf_trace_jsonl_is_thread_count_invariant() {
     }
 }
 
-/// Scalar and columnar SF must serialize the same trace: `stage_id` and
-/// `weak_opinion` are part of the equivalence contract, not just opinions.
+/// SF's lane kernels and the per-agent reference (the same record run
+/// through the `ScalarState` adapter) must serialize the same trace:
+/// `stage_id` and `weak_opinion` are part of the equivalence contract, not
+/// just opinions.
 #[test]
 fn columnar_sf_trace_matches_scalar() {
-    let (mut scalar, params) = sf_world();
+    let (mut columnar, params) = sf_world();
     let config = PopulationConfig::new(192, 1, 2, 192).unwrap();
     let noise = NoiseMatrix::uniform(2, 0.15).unwrap();
-    let mut columnar = World::new(
-        &ColumnarSourceFilter::new(params),
+    let mut scalar = World::new(
+        &PerAgent(SourceFilter::new(params)),
         config,
         &noise,
         ChannelKind::Aggregated,
@@ -199,11 +205,13 @@ fn faulted_trace_bytes_are_thread_count_invariant() {
                     frac: 0.5,
                     label: "scramble".to_string(),
                     fault: Arc::new(
-                        |state: &mut ScalarState<noisy_pull::ssf::SsfAgent>,
+                        |state: &mut noisy_pull::ssf::SsfColumns,
                          id: usize,
                          rng: &mut StreamRng| {
                             let opinion = Opinion::from_bool(rng.gen());
-                            state.agents_mut()[id].corrupt_state(opinion, opinion, [0; 4]);
+                            let mut agent = state.agent(id);
+                            agent.corrupt_state(opinion, opinion, [0; 4]);
+                            state.set_agent(id, agent);
                         },
                     ),
                 },

@@ -95,28 +95,6 @@ fn desynchronized_updates_still_converge() {
     assert!(outcome.converged());
 }
 
-/// Builds a mid-run corruption event that re-applies `adversary` to every
-/// agent (frac = 1) from the per-agent fault streams.
-fn mid_run_corruption(
-    adversary: SsfAdversary,
-    correct: Opinion,
-    m: u64,
-) -> FaultEvent<ScalarState<noisy_pull::ssf::SsfAgent>> {
-    use np_engine::streams::StreamRng;
-    use std::sync::Arc;
-    FaultEvent::Corrupt {
-        frac: 1.0,
-        label: adversary.name().to_string(),
-        fault: Arc::new(
-            move |state: &mut ScalarState<noisy_pull::ssf::SsfAgent>,
-                  id: usize,
-                  rng: &mut StreamRng| {
-                adversary.corrupt(&mut state.agents_mut()[id], correct, m, id, rng);
-            },
-        ),
-    }
-}
-
 #[test]
 fn recovers_from_every_adversary_injected_mid_run() {
     // Theorem 5 again, but with the corruption striking a *settled*
@@ -129,7 +107,7 @@ fn recovers_from_every_adversary_injected_mid_run() {
         let correct = world.correct_opinion();
         world
             .set_fault_plan(
-                FaultPlan::new().at(inject, mid_run_corruption(adversary, correct, params.m())),
+                FaultPlan::new().at(inject, adversary.fault_event(1.0, correct, params.m())),
             )
             .unwrap();
         world.record_trace();

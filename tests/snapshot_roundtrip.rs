@@ -82,3 +82,36 @@ proptest! {
         prop_assert_eq!(restored.round(), 8);
     }
 }
+
+/// Snapshots written while SF and SSF still ran on per-agent records
+/// carry the `sf-agent/v1` / `ssf-agent/v1` state codecs. Restoring one
+/// into today's lane states is a typed tag mismatch, never a panic. The
+/// two files are `run sf|ssf --n 16 --seed 7 --checkpoint` outputs from
+/// that format.
+#[test]
+fn per_agent_format_snapshots_fail_with_a_tag_mismatch() {
+    let golden = |name: &str| {
+        std::fs::read(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(name),
+        )
+        .unwrap()
+    };
+    let config = PopulationConfig::new(16, 0, 1, 16).unwrap();
+    let expect_mismatch = |err: np_engine::EngineError, old: &str, new: &str| match err {
+        np_engine::EngineError::BadSnapshot { detail } => {
+            assert!(detail.contains("state tag mismatch"), "{detail}");
+            assert!(detail.contains(old) && detail.contains(new), "{detail}");
+        }
+        other => panic!("expected a tag mismatch, got {other:?}"),
+    };
+
+    let sf = SourceFilter::new(SfParams::derive(&config, 0.2, 1.0).unwrap());
+    let err = World::restore(&sf, &golden("sf-agent-v1.snap")).unwrap_err();
+    expect_mismatch(err, "sf-agent/v1", "sf-columns/v1");
+
+    let ssf = SelfStabilizingSourceFilter::new(SsfParams::derive(&config, 0.2, 1.0).unwrap());
+    let err = World::restore(&ssf, &golden("ssf-agent-v1.snap")).unwrap_err();
+    expect_mismatch(err, "ssf-agent/v1", "ssf-columns/v1");
+}

@@ -86,21 +86,54 @@ fn sf_trajectory_is_thread_count_invariant() {
     assert_thread_invariant("SF", params.total_rounds(), || sf_world().0);
 }
 
+/// SF's lane state itself, not just the opinions: a population that is
+/// not a multiple of 64 (so chunks and the packed tail word fall
+/// differently per thread count) under the exact channel, with every
+/// agent's full record — stage, counters, weak opinion, memory —
+/// compared after each phase boundary and at the end.
 #[test]
 fn sf_columnar_trajectory_is_thread_count_invariant() {
-    let config = PopulationConfig::new(192, 1, 2, 192).unwrap();
+    let config = PopulationConfig::new(200, 1, 2, 200).unwrap();
     let params = SfParams::derive(&config, 0.15, 1.0).unwrap();
     let noise = NoiseMatrix::uniform(2, 0.15).unwrap();
-    assert_thread_invariant("columnar SF", params.total_rounds(), || {
+    let make_world = || {
         World::new(
-            &ColumnarSourceFilter::new(params),
+            &SourceFilter::new(params),
             config,
             &noise,
-            ChannelKind::Aggregated,
+            ChannelKind::Exact,
             101,
         )
         .unwrap()
-    });
+    };
+    assert_thread_invariant("SF lanes (exact)", params.total_rounds(), make_world);
+
+    let checkpoints = [
+        params.phase_len(),
+        2 * params.phase_len(),
+        params.total_rounds(),
+    ];
+    let mut reference: Option<Vec<Vec<_>>> = None;
+    for threads in THREADS {
+        let mut world = make_world();
+        world.set_threads(threads);
+        let mut records = Vec::new();
+        for &at in &checkpoints {
+            world.run(at - world.round());
+            records.push(world.iter_agents().collect::<Vec<_>>());
+        }
+        match &reference {
+            None => reference = Some(records),
+            Some(want) => {
+                for (k, (w, g)) in want.iter().zip(&records).enumerate() {
+                    assert!(
+                        w == g,
+                        "SF lanes: agent records differ at {threads} threads, checkpoint {k}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
