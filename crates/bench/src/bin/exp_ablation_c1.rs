@@ -9,8 +9,12 @@
 //! property that needs the larger constants (see the discussion in
 //! `noisy_pull::params`).
 
-use np_bench::harness::{summarize, SfSetup, SsfSetup};
+use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_bench::report::{fmt_f64, Table};
+use np_engine::runner::{run_batch, suggested_threads};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -23,10 +27,14 @@ fn main() {
         &["c1", "m", "schedule_len", "success", "settle_mean"],
     );
     for &c1 in &c1s {
-        let setup = SfSetup::single_source_full_sample(n, 0.2, c1);
-        let params = setup.params();
-        let measured = setup.run_many(0xAB1 ^ (c1 * 100.0) as u64, runs);
-        let (rate, summary) = summarize(&measured);
+        let job = JobSpec {
+            c1,
+            ..JobSpec::new(ProtocolKind::Sf, n, 0.2)
+        };
+        let params = job.sf_params().expect("valid grid");
+        let seeds = SeedSequence::new(0xAB1 ^ (c1 * 100.0) as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
         match summary {
             Some(s) => sf_table.push_row(&[
                 &fmt_f64(c1),
@@ -51,18 +59,19 @@ fn main() {
         &["c1", "m", "interval", "settled&held", "ever_consensus"],
     );
     for &c1 in &c1s {
-        let setup = SsfSetup::single_source_full_sample(n, 0.1, c1);
-        let setup = SsfSetup {
+        let job = JobSpec {
+            c1,
             budget_intervals: 10,
-            ..setup
+            ..JobSpec::new(ProtocolKind::Ssf, n, 0.1)
         };
-        let params = setup.params();
-        let measured = setup.run_many(0xAB2 ^ (c1 * 100.0) as u64, runs);
-        let (held_rate, _) = summarize(&measured);
+        let params = job.ssf_params().expect("valid grid");
+        let seeds = SeedSequence::new(0xAB2 ^ (c1 * 100.0) as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (held_rate, _) = summarize(&records);
         // "Ever reached consensus" is measured separately: run each seed
         // and check whether a consensus configuration occurred at any
         // round, held or not.
-        let ever = ever_consensus_rate(&setup, 0xAB3 ^ (c1 * 100.0) as u64, runs);
+        let ever = ever_consensus_rate(&job, 0xAB3 ^ (c1 * 100.0) as u64, runs);
         ssf_table.push_row(&[
             &fmt_f64(c1),
             &params.m(),
@@ -80,34 +89,20 @@ fn main() {
     );
 }
 
-fn ever_consensus_rate(setup: &SsfSetup, master: u64, runs: usize) -> f64 {
-    use noisy_pull::ssf::SelfStabilizingSourceFilter;
-    use np_engine::channel::ChannelKind;
-    use np_engine::runner::{run_batch, suggested_threads};
-    use np_engine::world::World;
-    use np_linalg::noise::NoiseMatrix;
-    use np_stats::seeds::SeedSequence;
-
-    let setup = *setup;
+fn ever_consensus_rate(job: &JobSpec, master: u64, runs: usize) -> f64 {
     let results = run_batch(
         SeedSequence::new(master),
         runs,
         suggested_threads(),
-        move |seed| {
-            let config = setup.config();
-            let params = setup.params();
-            let noise = NoiseMatrix::uniform(4, setup.delta).expect("valid");
-            let mut world = World::new(
-                &SelfStabilizingSourceFilter::new(params),
-                config,
-                &noise,
-                ChannelKind::Aggregated,
+        |seed| {
+            let job = JobSpec {
                 seed,
-            )
-            .expect("alphabets match");
-            let budget = setup.budget_intervals * params.update_interval();
+                ..job.clone()
+            };
+            let protocol = SelfStabilizingSourceFilter::new(job.ssf_params().expect("valid grid"));
+            let mut world = job.ssf_world(&protocol, None).expect("valid grid");
             let mut ever = false;
-            for _ in 0..budget {
+            for _ in 0..job.budget().expect("valid grid") {
                 world.step();
                 ever |= world.is_consensus();
             }

@@ -16,7 +16,8 @@ use np_baselines::majority::HMajority;
 use np_baselines::mean_estimator::MeanEstimator;
 use np_baselines::trusting_copy::TrustingCopy;
 use np_baselines::voter::ZealotVoter;
-use np_bench::harness::{run_settled, summarize, Measured};
+use std::time::Instant;
+
 use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::ChannelKind;
 use np_engine::population::PopulationConfig;
@@ -25,6 +26,7 @@ use np_engine::runner::{run_batch, suggested_threads};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{settle, summarize, RunRecord, StopRule};
 
 fn run_protocol<P: ColumnarProtocol + Sync>(
     proto: &P,
@@ -33,22 +35,28 @@ fn run_protocol<P: ColumnarProtocol + Sync>(
     budget: u64,
     runs: usize,
     master_seed: u64,
-) -> Vec<Measured> {
+) -> Vec<RunRecord> {
     let noise = NoiseMatrix::uniform(proto.alphabet_size(), delta).expect("valid delta");
     run_batch(
         SeedSequence::new(master_seed),
         runs,
         suggested_threads(),
         move |seed| {
+            let start = Instant::now();
             let mut world = World::new(proto, config, &noise, ChannelKind::Aggregated, seed)
                 .expect("alphabets match");
-            run_settled(&mut world, budget)
+            let finish = settle(&mut world, budget, StopRule::FullBudget);
+            RunRecord {
+                seed,
+                finish,
+                wall: start.elapsed(),
+            }
         },
     )
 }
 
-fn push(table: &mut Table, name: &str, budget: u64, measured: &[Measured]) {
-    let (rate, summary) = summarize(measured);
+fn push(table: &mut Table, name: &str, budget: u64, records: &[RunRecord]) {
+    let (rate, summary) = summarize(records);
     match summary {
         Some(s) => table.push_row(&[
             &name,

@@ -5,8 +5,10 @@
 //! `s² ≥ n` caps the gain. We sweep `s = s1` (all sources agreeing) with
 //! `h = n` and report settle rounds alongside the budget `m`.
 
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -25,17 +27,15 @@ fn main() {
         &["s", "runs", "success", "m", "settle_mean", "schedule_len"],
     );
     for &s in biases {
-        let setup = SfSetup {
-            n,
-            s0: 0,
+        let job = JobSpec {
             s1: s,
-            h: n,
-            delta,
             c1,
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
         };
-        let measured = setup.run_many(0xB1A5 ^ s as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let params = setup.params();
+        let seeds = SeedSequence::new(0xB1A5 ^ s as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let params = job.sf_params().expect("valid grid");
         match summary {
             Some(sm) => {
                 table.push_row(&[

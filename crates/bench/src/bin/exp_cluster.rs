@@ -26,13 +26,14 @@
 
 use noisy_pull::params::SsfParams;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
-use np_bench::report::{fmt_f64, save_bench_json, wall_quantiles, PerfPoint, Table};
+use np_bench::report::{fmt_f64, save_bench_json, Table};
 use np_engine::runner::{run_batch, suggested_threads};
 use np_net::cluster::{ClusterConfig, ClusterReport};
 use np_net::faults::NetFaultPlan;
 use np_net::sim::SimCluster;
 use np_stats::estimate::Running;
 use np_stats::seeds::SeedSequence;
+use np_sweep::perf::{wall_quantiles, PerfPoint};
 
 const SSF_C1: f64 = 1.0;
 /// Round budget, in SSF update intervals.
@@ -94,9 +95,9 @@ fn measure_point(n: usize, runs: usize, latency_us: u64, drop: f64) -> PerfPoint
         median_wall_ms: median,
         p95_wall_ms: p95,
         backend: Some("sim-cluster".to_string()),
-        degree: None,
         convergence_rate: Some(converged as f64 / runs.max(1) as f64),
         messages_total: Some(messages),
+        ..PerfPoint::default()
     }
 }
 

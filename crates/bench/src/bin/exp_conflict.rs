@@ -8,8 +8,10 @@
 //! term of Eq. (19)): more conflicting sources genuinely slow SF down,
 //! visible in the schedule column.
 
-use np_bench::harness::{summarize, SfSetup, SsfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -38,17 +40,15 @@ fn main() {
         let s0 = total - s1;
         assert_eq!(s1 - s0, 1, "bias must be exactly 1");
 
-        let sf = SfSetup {
-            n,
+        let sf = JobSpec {
             s0,
             s1,
-            h: n,
-            delta: 0.15,
-            c1: 1.0,
+            ..JobSpec::new(ProtocolKind::Sf, n, 0.15)
         };
-        let measured = sf.run_many(0xC0F ^ total as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let schedule = sf.params().total_rounds();
+        let seeds = SeedSequence::new(0xC0F ^ total as u64);
+        let records = run_seeds(&sf, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let schedule = sf.budget().expect("valid grid");
         match summary {
             Some(s) => table.push_row(&[
                 &total,
@@ -62,19 +62,17 @@ fn main() {
             None => table.push_row(&[&total, &s0, &s1, &"SF", &fmt_f64(rate), &"-", &schedule]),
         }
 
-        let ssf = SsfSetup {
-            n,
+        let ssf = JobSpec {
             s0,
             s1,
-            h: n,
-            delta: 0.1,
             c1: 16.0,
-            adversary: noisy_pull::adversary::SsfAdversary::None,
             budget_intervals: 10,
+            ..JobSpec::new(ProtocolKind::Ssf, n, 0.1)
         };
-        let measured = ssf.run_many(0xC1F ^ total as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let budget = 10 * ssf.params().update_interval();
+        let seeds = SeedSequence::new(0xC1F ^ total as u64);
+        let records = run_seeds(&ssf, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let budget = ssf.budget().expect("valid grid");
         match summary {
             Some(s) => table.push_row(&[
                 &total,

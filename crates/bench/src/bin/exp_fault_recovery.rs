@@ -20,20 +20,17 @@
 //! `mean_rounds` = mean recovery rounds over recovered runs and
 //! `converged` = how many runs re-converged.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use noisy_pull::adversary::SsfAdversary;
-use noisy_pull::params::SsfParams;
 use noisy_pull::ssf::{SelfStabilizingSourceFilter, SsfColumns};
-use np_bench::harness::auto_channel;
-use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
+use np_bench::report::{fmt_f64, save_bench_json, Table};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
-use np_engine::population::PopulationConfig;
 use np_engine::runner::{run_batch, suggested_threads};
-use np_engine::world::World;
-use np_linalg::noise::NoiseMatrix;
-use np_stats::estimate::Running;
 use np_stats::seeds::SeedSequence;
+use np_sweep::driver::auto_channel;
+use np_sweep::perf::{perf_point, PerfPoint};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 const DELTA: f64 = 0.1;
 const C1: f64 = 8.0;
@@ -43,19 +40,22 @@ const INJECT_INTERVALS: u64 = 3;
 /// Total budget, in update intervals.
 const BUDGET_INTERVALS: u64 = 12;
 
-/// One seeded faulted run: (recovery rounds if re-converged, wall ms).
-fn run_one(n: usize, event: FaultEvent<SsfColumns>, seed: u64) -> (Option<u64>, f64) {
-    let config = PopulationConfig::new(n, 0, 1, n).expect("valid grid");
-    let params = SsfParams::derive(&config, DELTA, C1).expect("valid grid");
-    let noise = NoiseMatrix::uniform(4, DELTA).expect("valid delta");
-    let mut world = World::new(
-        &SelfStabilizingSourceFilter::new(params),
-        config,
-        &noise,
-        auto_channel(n),
-        seed,
-    )
-    .expect("alphabets match");
+fn job(n: usize) -> JobSpec {
+    JobSpec {
+        c1: C1,
+        budget_intervals: BUDGET_INTERVALS,
+        channel: auto_channel(n),
+        ..JobSpec::new(ProtocolKind::Ssf, n, DELTA)
+    }
+}
+
+/// One seeded faulted run: (recovery rounds if re-converged, wall time).
+fn run_one(n: usize, event: FaultEvent<SsfColumns>, seed: u64) -> (Option<u64>, Duration) {
+    let job = JobSpec { seed, ..job(n) };
+    let params = job.ssf_params().expect("valid grid");
+    let mut world = job
+        .ssf_world(&SelfStabilizingSourceFilter::new(params), None)
+        .expect("valid grid");
     // Single-threaded: the batch level owns the parallelism.
     world.set_threads(1);
     let interval = params.update_interval();
@@ -65,7 +65,7 @@ fn run_one(n: usize, event: FaultEvent<SsfColumns>, seed: u64) -> (Option<u64>, 
     world.record_trace();
     let start = Instant::now();
     world.run(BUDGET_INTERVALS * interval);
-    let wall = start.elapsed().as_secs_f64() * 1e3;
+    let wall = start.elapsed();
     let trace = world.take_trace().expect("trace was recorded");
     let recovery = recovery_times(trace.rounds())
         .first()
@@ -87,30 +87,7 @@ fn measure_point(
         suggested_threads(),
         move |seed| run_one(n, event.clone(), seed),
     );
-    let mut rounds = Running::new();
-    let mut wall = Running::new();
-    let mut converged = 0usize;
-    for (recovery, ms) in &results {
-        if let Some(r) = recovery {
-            converged += 1;
-            rounds.push(*r as f64);
-        }
-        wall.push(*ms);
-    }
-    PerfPoint {
-        label: label.to_string(),
-        n,
-        runs,
-        converged,
-        mean_rounds: rounds.mean().ok(),
-        mean_wall_ms: wall.mean().unwrap_or(0.0),
-        median_wall_ms: None,
-        p95_wall_ms: None,
-        backend: None,
-        degree: None,
-        convergence_rate: None,
-        messages_total: None,
-    }
+    perf_point(label, n, results)
 }
 
 fn push_point(table: &mut Table, interval: u64, point: &PerfPoint) {
@@ -139,10 +116,9 @@ fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
     let n = if quick { 256 } else { 1024 };
     let runs = if quick { 4 } else { 10 };
-    let config = PopulationConfig::new(n, 0, 1, n).expect("valid grid");
-    let params = SsfParams::derive(&config, DELTA, C1).expect("valid grid");
+    let params = job(n).ssf_params().expect("valid grid");
     let interval = params.update_interval();
-    let correct = config.correct_opinion();
+    let correct = job(n).config().expect("valid grid").correct_opinion();
     let m = params.m();
 
     let mut points = Vec::new();

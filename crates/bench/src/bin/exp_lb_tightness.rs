@@ -9,8 +9,10 @@
 //! itself may grow logarithmically.
 
 use noisy_pull::theory::lower_bound_rounds;
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{auto_channel, run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -51,22 +53,21 @@ fn main() {
         ],
     );
     for &(n, h, delta, s) in grid {
-        let setup = SfSetup {
-            n,
-            s0: 0,
-            s1: s,
+        let job = JobSpec {
             h,
-            delta,
+            s1: s,
             c1,
+            channel: auto_channel(h),
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
         };
-        let measured = setup.run_many(
+        let seeds = SeedSequence::new(
             0x1B ^ (n as u64)
                 .wrapping_mul(31)
                 .wrapping_add(h as u64)
                 .wrapping_add((delta * 100.0) as u64),
-            runs,
         );
-        let (rate, summary) = summarize(&measured);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
         let lb = lower_bound_rounds(n, h, s, delta, 2).expect("valid grid");
         match summary {
             Some(sm) => {

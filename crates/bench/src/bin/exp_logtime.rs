@@ -8,8 +8,10 @@
 //! `Ω(n)` lower bound at `h = O(1)` would make `settle / ln n` grow like
 //! `n / ln n`.
 
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -35,10 +37,14 @@ fn main() {
         ],
     );
     for &n in sizes {
-        let setup = SfSetup::single_source_full_sample(n, delta, c1);
-        let measured = setup.run_many(0x51F0 ^ n as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let schedule = setup.params().total_rounds();
+        let job = JobSpec {
+            c1,
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
+        };
+        let seeds = SeedSequence::new(0x51F0 ^ n as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let schedule = job.budget().expect("valid grid");
         match summary {
             Some(s) => {
                 let per_log = s.mean() / (n as f64).ln();

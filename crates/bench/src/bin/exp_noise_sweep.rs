@@ -7,8 +7,10 @@
 //! approaching δ = ½), with success staying at 1 throughout.
 
 use noisy_pull::theory::sf_upper_bound_rounds;
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -30,10 +32,14 @@ fn main() {
         ],
     );
     for &delta in &deltas {
-        let setup = SfSetup::single_source_full_sample(n, delta, c1);
-        let measured = setup.run_many(0xD0_5EED ^ (delta * 1000.0) as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let schedule = setup.params().total_rounds();
+        let job = JobSpec {
+            c1,
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
+        };
+        let seeds = SeedSequence::new(0xD0_5EED ^ (delta * 1000.0) as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let schedule = job.budget().expect("valid grid");
         let formula = sf_upper_bound_rounds(n, n, 0, 1, delta).expect("valid grid");
         match summary {
             Some(s) => {

@@ -12,13 +12,14 @@
 //! column (it is reported for completeness).
 
 use np_baselines::push_spreading::{PushSpreading, PushSpreadingParams};
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
 use np_engine::population::PopulationConfig;
 use np_engine::push::PushWorld;
 use np_engine::runner::{run_batch, suggested_threads};
 use np_linalg::noise::NoiseMatrix;
 use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{auto_channel, run_seeds, settle, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn push_success_and_settle(n: usize, delta: f64, runs: usize, master: u64) -> (f64, f64) {
     let params = PushSpreadingParams::derive(n, 1, delta);
@@ -31,14 +32,7 @@ fn push_success_and_settle(n: usize, delta: f64, runs: usize, master: u64) -> (f
         move |seed| {
             let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, seed)
                 .expect("alphabets match");
-            let mut last_bad = 0u64;
-            for r in 1..=params.total_rounds() {
-                world.step();
-                if !world.is_consensus() {
-                    last_bad = r;
-                }
-            }
-            world.is_consensus().then_some(last_bad + 1)
+            settle(&mut world, params.total_rounds(), StopRule::FullBudget).settled
         },
     );
     let settled: Vec<f64> = results.iter().filter_map(|r| r.map(|x| x as f64)).collect();
@@ -79,18 +73,16 @@ fn main() {
     for &n in sizes {
         // PULL side: SF at h = 1. Dissemination = the two listening
         // phases.
-        let sf = SfSetup {
-            n,
-            s0: 0,
-            s1: 1,
+        let sf = JobSpec {
             h: 1,
-            delta,
-            c1: 1.0,
+            channel: auto_channel(1),
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
         };
-        let sf_params = sf.params();
+        let sf_params = sf.sf_params().expect("grid");
         let pull_dissem = 2 * sf_params.phase_len();
-        let measured = sf.run_many(0x9053 ^ n as u64, runs);
-        let (pull_rate, pull_summary) = summarize(&measured);
+        let seeds = SeedSequence::new(0x9053 ^ n as u64);
+        let records = run_seeds(&sf, seeds, runs, StopRule::FullBudget).expect("grid");
+        let (pull_rate, pull_summary) = summarize(&records);
         let pull_settle = pull_summary.map(|s| s.mean()).unwrap_or(f64::NAN);
 
         // PUSH side.

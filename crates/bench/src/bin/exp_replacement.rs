@@ -14,13 +14,13 @@
 
 use noisy_pull::params::SfParams;
 use noisy_pull::sf::SourceFilter;
-use np_bench::harness::run_settled;
 use np_bench::report::{fmt_f64, Table};
 use np_engine::channel::{Channel, ChannelKind, SamplingMode};
 use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
+use np_sweep::driver::{settle, StopRule};
 
 fn measure(
     config: PopulationConfig,
@@ -49,8 +49,8 @@ fn measure(
         let mut world =
             World::with_channel(&SourceFilter::new(params), config, channel, 0x8E ^ seed)
                 .expect("alphabets match");
-        let m = run_settled(&mut world, params.total_rounds());
-        if let Some(r) = m.settled_round {
+        let finish = settle(&mut world, params.total_rounds(), StopRule::FullBudget);
+        if let Some(r) = finish.settled {
             wins += 1;
             settle_acc += r as f64;
         }

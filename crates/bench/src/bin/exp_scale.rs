@@ -13,54 +13,30 @@
 //! (`BENCH_scale.json` at the workspace root): the `O(log n)` convergence
 //! claim measured from `n = 2¹⁴` to `n = 10⁸` on a laptop.
 
-use noisy_pull::sf::SourceFilter;
-use np_bench::harness::{perf_point, run_outcomes, SfSetup};
-use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
-use np_engine::channel::ChannelKind;
-use np_engine::counts::CountsWorld;
-use np_engine::world::World;
-use np_linalg::noise::NoiseMatrix;
+use np_bench::report::{fmt_f64, save_bench_json, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, StopRule};
+use np_sweep::perf::{perf_point, PerfPoint};
+use np_sweep::spec::{BackendKind, JobSpec, ProtocolKind};
 
 const DELTA: f64 = 0.2;
 
-fn per_agent_point(n: usize, runs: usize) -> (PerfPoint, u64) {
-    let setup = SfSetup::single_source_full_sample(n, DELTA, 1.0);
-    let params = setup.params();
-    let records = run_outcomes(0x5CA1E, runs, |seed| {
-        let config = setup.config();
-        let noise = NoiseMatrix::uniform(2, DELTA).expect("grid");
-        let mut world = World::new(
-            &SourceFilter::new(params),
-            config,
-            &noise,
-            ChannelKind::Aggregated,
-            seed,
-        )
-        .expect("alphabets match");
-        // Batch-level parallelism owns the cores (see `SfSetup::run`).
-        world.set_threads(1);
-        world.run_until_stable_consensus(params.total_rounds(), 1)
-    });
-    let mut point = perf_point(&format!("n={n}"), n, &records);
-    point.backend = Some("per-agent".to_string());
-    (point, params.total_rounds())
-}
-
-fn mean_field_point(n: usize, runs: usize) -> (PerfPoint, u64) {
-    let setup = SfSetup::single_source_full_sample(n, DELTA, 1.0);
-    let params = setup.params();
-    let records = run_outcomes(0x5CA1E, runs, |seed| {
-        let config = setup.config();
-        let noise = NoiseMatrix::uniform(2, DELTA).expect("grid");
-        // The counts backend is single-threaded by construction: one
-        // round is O(states) work, so there is nothing to parallelize.
-        let mut world = CountsWorld::new(&SourceFilter::new(params), config, &noise, seed)
-            .expect("alphabets match");
-        world.run_until_stable_consensus(params.total_rounds(), 1)
-    });
-    let mut point = perf_point(&format!("n={n}"), n, &records);
-    point.backend = Some("mean-field".to_string());
-    (point, params.total_rounds())
+/// One batch of SF runs to first consensus on `backend`: the perf point
+/// and the schedule length.
+fn measure(backend: BackendKind, n: usize, runs: usize) -> (PerfPoint, u64) {
+    let job = JobSpec {
+        backend,
+        ..JobSpec::new(ProtocolKind::Sf, n, DELTA)
+    };
+    let seeds = SeedSequence::new(0x5CA1E);
+    let records = run_seeds(&job, seeds, runs, StopRule::FirstConsensus).expect("valid grid");
+    let mut point = perf_point(
+        &format!("n={n}"),
+        n,
+        records.iter().map(|r| (r.finish.settled, r.wall)),
+    );
+    point.backend = Some(backend.name().to_string());
+    (point, job.budget().expect("valid grid"))
 }
 
 fn main() {
@@ -105,11 +81,11 @@ fn main() {
         points.push(point);
     };
     for &n in agent_sizes {
-        let (point, schedule) = per_agent_point(n, runs);
+        let (point, schedule) = measure(BackendKind::PerAgent, n, runs);
         push(&mut table, point, schedule);
     }
     for &n in field_sizes {
-        let (point, schedule) = mean_field_point(n, runs);
+        let (point, schedule) = measure(BackendKind::MeanField, n, runs);
         push(&mut table, point, schedule);
     }
     table.emit("scale");

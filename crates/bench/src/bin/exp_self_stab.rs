@@ -11,8 +11,10 @@
 //! to follow.
 
 use noisy_pull::adversary::SsfAdversary;
-use np_bench::harness::{summarize, SsfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -36,19 +38,16 @@ fn main() {
     );
     for &n in sizes {
         for adversary in SsfAdversary::ALL {
-            let setup = SsfSetup {
-                n,
-                s0: 0,
-                s1: 1,
-                h: n,
-                delta,
+            let job = JobSpec {
                 c1,
                 adversary,
                 budget_intervals,
+                ..JobSpec::new(ProtocolKind::Ssf, n, delta)
             };
-            let measured = setup.run_many(0x55F ^ (n as u64) << 3, runs);
-            let (rate, summary) = summarize(&measured);
-            let interval = setup.params().update_interval();
+            let seeds = SeedSequence::new(0x55F ^ (n as u64) << 3);
+            let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+            let (rate, summary) = summarize(&records);
+            let interval = job.ssf_params().expect("valid grid").update_interval();
             match summary {
                 Some(s) => {
                     table.push_row(&[

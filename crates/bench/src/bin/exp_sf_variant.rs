@@ -8,17 +8,15 @@
 //! variance per observation where SF's within-phase background is
 //! deterministic.
 
-use noisy_pull::params::SfParams;
 use noisy_pull::sf::SourceFilter;
 use noisy_pull::sf_alternating::AlternatingSourceFilter;
-use np_bench::harness::run_settled;
 use np_bench::report::{fmt_f64, Table};
-use np_engine::channel::ChannelKind;
 use np_engine::opinion::Opinion;
-use np_engine::population::PopulationConfig;
 use np_engine::protocol::{AgentState, ColumnarProtocol};
+use np_engine::snapshot::SnapshotState;
 use np_engine::world::World;
-use np_linalg::noise::NoiseMatrix;
+use np_sweep::driver::StopRule;
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 struct VariantStats {
     success: f64,
@@ -26,29 +24,33 @@ struct VariantStats {
     weak_accuracy: f64,
 }
 
-fn measure<F, P>(make_world: F, params: SfParams, listening_rounds: u64, runs: u64) -> VariantStats
-where
-    P: ColumnarProtocol,
-    F: Fn(u64) -> World<P>,
-{
+fn measure(job: &JobSpec, runs: u64) -> VariantStats {
+    let params = job.sf_params().expect("grid");
+    let listening_rounds = 2 * params.phase_len();
     let mut wins = 0u64;
     let mut settle_acc = 0.0;
     let mut weak_correct = 0u64;
     let mut weak_total = 0u64;
     for seed in 0..runs {
+        let job = JobSpec {
+            seed: 0xFA ^ seed,
+            ..job.clone()
+        };
         // Weak accuracy pass.
-        let mut world = make_world(seed);
-        world.run(listening_rounds);
-        for agent in world.iter_agents() {
-            if let Some(w) = agent.weak_opinion() {
-                weak_correct += u64::from(w == Opinion::One);
-                weak_total += 1;
-            }
-        }
+        let (correct, total) = if job.protocol == ProtocolKind::SfAlt {
+            weak_opinions(
+                &job,
+                &AlternatingSourceFilter::new(params),
+                listening_rounds,
+            )
+        } else {
+            weak_opinions(&job, &SourceFilter::new(params), listening_rounds)
+        };
+        weak_correct += correct;
+        weak_total += total;
         // Fresh end-to-end pass (same seed, full schedule).
-        let mut world = make_world(seed);
-        let m = run_settled(&mut world, params.total_rounds());
-        if let Some(r) = m.settled_round {
+        let finish = job.run(StopRule::FullBudget).expect("grid");
+        if let Some(r) = finish.settled {
             wins += 1;
             settle_acc += r as f64;
         }
@@ -64,68 +66,46 @@ where
     }
 }
 
+/// (correct, formed) weak opinions after the listening phases.
+fn weak_opinions<P>(job: &JobSpec, protocol: &P, listening_rounds: u64) -> (u64, u64)
+where
+    P: ColumnarProtocol,
+    P::State: SnapshotState,
+{
+    let mut world: World<P> = job.world(protocol, None).expect("alphabets match");
+    world.run(listening_rounds);
+    let mut correct = 0;
+    let mut total = 0;
+    for agent in world.iter_agents() {
+        if let Some(w) = agent.weak_opinion() {
+            correct += u64::from(w == Opinion::One);
+            total += 1;
+        }
+    }
+    (correct, total)
+}
+
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
     let sizes: &[usize] = if quick { &[256] } else { &[256, 1024, 4096] };
     let runs = if quick { 5 } else { 15 };
     let delta = 0.2;
-    let c1 = 1.0;
 
     let mut table = Table::new(
         "EXP-VARIANT: SF vs SF-ALT (alternating displays, §2.1 Remark), h = n, single source",
         &["n", "variant", "success", "settle_mean", "weak_accuracy"],
     );
     for &n in sizes {
-        let config = PopulationConfig::new(n, 0, 1, n).expect("grid");
-        let params = SfParams::derive(&config, delta, c1).expect("grid");
-        let noise = NoiseMatrix::uniform(2, delta).expect("grid");
-        let listening = 2 * params.phase_len();
-
-        let sf = measure(
-            |seed| {
-                World::new(
-                    &SourceFilter::new(params),
-                    config,
-                    &noise,
-                    ChannelKind::Aggregated,
-                    0xFA ^ seed,
-                )
-                .expect("alphabets match")
-            },
-            params,
-            listening,
-            runs,
-        );
-        table.push_row(&[
-            &n,
-            &"SF",
-            &fmt_f64(sf.success),
-            &fmt_f64(sf.settle_mean),
-            &fmt_f64(sf.weak_accuracy),
-        ]);
-
-        let alt = measure(
-            |seed| {
-                World::new(
-                    &AlternatingSourceFilter::new(params),
-                    config,
-                    &noise,
-                    ChannelKind::Aggregated,
-                    0xFA ^ seed,
-                )
-                .expect("alphabets match")
-            },
-            params,
-            listening,
-            runs,
-        );
-        table.push_row(&[
-            &n,
-            &"SF-ALT",
-            &fmt_f64(alt.success),
-            &fmt_f64(alt.settle_mean),
-            &fmt_f64(alt.weak_accuracy),
-        ]);
+        for (protocol, name) in [(ProtocolKind::Sf, "SF"), (ProtocolKind::SfAlt, "SF-ALT")] {
+            let stats = measure(&JobSpec::new(protocol, n, delta), runs);
+            table.push_row(&[
+                &n,
+                &name,
+                &fmt_f64(stats.success),
+                &fmt_f64(stats.settle_mean),
+                &fmt_f64(stats.weak_accuracy),
+            ]);
+        }
     }
     table.emit("sf_variant");
     println!(

@@ -7,8 +7,10 @@
 //! at large `h` (so `settle × h` starts growing once `settle` hits the
 //! floor — both regimes are visible in the table).
 
-use np_bench::harness::{summarize, SfSetup};
 use np_bench::report::{fmt_f64, Table};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{auto_channel, run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 fn main() {
     let quick = std::env::var("NP_QUICK").is_ok();
@@ -32,17 +34,16 @@ fn main() {
     );
     let mut prev_mean: Option<f64> = None;
     for &h in &hs {
-        let setup = SfSetup {
-            n,
-            s0: 0,
-            s1: 1,
+        let job = JobSpec {
             h,
-            delta,
             c1,
+            channel: auto_channel(h),
+            ..JobSpec::new(ProtocolKind::Sf, n, delta)
         };
-        let measured = setup.run_many(0xA11CE ^ h as u64, runs);
-        let (rate, summary) = summarize(&measured);
-        let schedule = setup.params().total_rounds();
+        let seeds = SeedSequence::new(0xA11CE ^ h as u64);
+        let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+        let (rate, summary) = summarize(&records);
+        let schedule = job.budget().expect("valid grid");
         match summary {
             Some(s) => {
                 let ratio = prev_mean

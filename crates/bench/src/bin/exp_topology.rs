@@ -9,9 +9,10 @@
 //! replacement from the neighborhood) run on ring lattices of increasing
 //! degree — ring:2/8/32, i.e. degrees 4/16/64 — plus the complete graph
 //! as the reference row, across four uniform noise levels up to the
-//! δ < ¼ threshold. Each point records the convergence rate and the mean
-//! settle round; the committed artifact is `BENCH_topology.json`
-//! (np-bench/v1 with the trailing `degree`/`convergence_rate` keys).
+//! δ < ¼ threshold. Each point records the convergence rate, the mean
+//! settle round and the mean/median/p95 wall time per run; the committed
+//! artifact is `BENCH_topology.json` (np-bench/v1 with the trailing
+//! `degree`/`convergence_rate` keys).
 //!
 //! Expected shape: the complete graph and the degree-64 ring converge
 //! everywhere below threshold; as the degree drops, the δ-cliff slides
@@ -19,18 +20,12 @@
 //! effective noise a weak-opinion estimator sees is higher than δ and
 //! the degree-4 ring gives up well before δ = 0.20.
 
-use noisy_pull::params::{SfParams, SsfParams};
-use noisy_pull::sf::SourceFilter;
-use noisy_pull::ssf::SelfStabilizingSourceFilter;
-use np_bench::harness::{auto_channel, run_settled, Measured};
-use np_bench::report::{fmt_f64, save_bench_json, PerfPoint, Table};
-use np_engine::population::PopulationConfig;
-use np_engine::runner::{run_batch, suggested_threads};
+use np_bench::report::{fmt_f64, save_bench_json, Table};
 use np_engine::topology::{Topology, TopologySpec};
-use np_engine::world::World;
-use np_linalg::noise::NoiseMatrix;
-use np_stats::estimate::Running;
 use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{auto_channel, run_seeds, StopRule};
+use np_sweep::perf::{perf_point, PerfPoint};
+use np_sweep::spec::{JobSpec, ProtocolKind};
 
 const SF_C1: f64 = 1.0;
 const SSF_C1: f64 = 8.0;
@@ -38,87 +33,42 @@ const SSF_C1: f64 = 8.0;
 const SSF_BUDGET_INTERVALS: u64 = 8;
 const MASTER_SEED: u64 = 0x7090;
 
-/// One seeded SF run on `topo`.
-fn run_sf(n: usize, delta: f64, topo: TopologySpec, seed: u64) -> Measured {
-    let config = PopulationConfig::new(n, 0, 1, n).expect("valid grid");
-    let params = SfParams::derive(&config, delta, SF_C1).expect("valid grid");
-    let noise = NoiseMatrix::uniform(2, delta).expect("valid delta");
-    let mut world = World::new(
-        &SourceFilter::new(params),
-        config,
-        &noise,
-        auto_channel(n),
-        seed,
-    )
-    .expect("alphabets match");
-    // Single-threaded: the batch level owns the parallelism.
-    world.set_threads(1);
-    world.set_topology(topo).expect("realizable topology");
-    run_settled(&mut world, params.total_rounds())
-}
-
-/// One seeded SSF run on `topo`.
-fn run_ssf(n: usize, delta: f64, topo: TopologySpec, seed: u64) -> Measured {
-    let config = PopulationConfig::new(n, 0, 1, n).expect("valid grid");
-    let params = SsfParams::derive(&config, delta, SSF_C1).expect("valid grid");
-    let noise = NoiseMatrix::uniform(4, delta).expect("valid delta");
-    let mut world = World::new(
-        &SelfStabilizingSourceFilter::new(params),
-        config,
-        &noise,
-        auto_channel(n),
-        seed,
-    )
-    .expect("alphabets match");
-    world.set_threads(1);
-    world.set_topology(topo).expect("realizable topology");
-    run_settled(&mut world, SSF_BUDGET_INTERVALS * params.update_interval())
-}
-
-/// Runs one batch and aggregates it into a degree-tagged perf point.
+/// Runs one batch and aggregates it into a degree-tagged perf point with
+/// per-run wall times.
 fn measure_point(
-    protocol: &str,
+    protocol: ProtocolKind,
     n: usize,
     runs: usize,
     delta: f64,
     topo: TopologySpec,
 ) -> PerfPoint {
-    let label = format!("{protocol} {} d={delta}", topo.label());
-    let master = SeedSequence::new(MASTER_SEED).child_of_label(&label);
-    let results = run_batch(master, runs, suggested_threads(), move |seed| {
-        if protocol == "sf" {
-            run_sf(n, delta, topo, seed)
+    let label = format!("{} {} d={delta}", protocol.name(), topo.label());
+    let job = JobSpec {
+        c1: if protocol == ProtocolKind::Sf {
+            SF_C1
         } else {
-            run_ssf(n, delta, topo, seed)
-        }
-    });
-    let mut rounds = Running::new();
-    let mut converged = 0usize;
-    for m in &results {
-        if let Some(r) = m.settled_round {
-            converged += 1;
-            rounds.push(r as f64);
-        }
-    }
+            SSF_C1
+        },
+        budget_intervals: SSF_BUDGET_INTERVALS,
+        topology: topo,
+        channel: auto_channel(n),
+        ..JobSpec::new(protocol, n, delta)
+    };
+    let seeds = SeedSequence::new(MASTER_SEED).child_of_label(&label);
+    let records = run_seeds(&job, seeds, runs, StopRule::FullBudget).expect("valid grid");
+    let mut point = perf_point(
+        &label,
+        n,
+        records.iter().map(|r| (r.finish.settled, r.wall)),
+    );
     // Ring degrees are uniform and the complete graph's is n - 1, so the
     // minimum degree is *the* degree of every point in this sweep.
     let degree = Topology::build(topo, n, 0)
         .expect("realizable topology")
         .min_degree() as u64;
-    PerfPoint {
-        label,
-        n,
-        runs,
-        converged,
-        mean_rounds: rounds.mean().ok(),
-        mean_wall_ms: 0.0,
-        median_wall_ms: None,
-        p95_wall_ms: None,
-        backend: None,
-        degree: Some(degree.max(1)),
-        convergence_rate: Some(converged as f64 / runs.max(1) as f64),
-        messages_total: None,
-    }
+    point.degree = Some(degree.max(1));
+    point.convergence_rate = Some(point.converged as f64 / runs.max(1) as f64);
+    point
 }
 
 fn main() {
@@ -138,7 +88,7 @@ fn main() {
         &format!("EXP-TOPO: convergence over degree x delta (n = {n}, h = n, {runs} runs)"),
         &["point", "degree", "delta", "rate", "settle_mean"],
     );
-    for protocol in ["sf", "ssf"] {
+    for protocol in [ProtocolKind::Sf, ProtocolKind::Ssf] {
         for &topo in &topologies {
             for &delta in &deltas {
                 let point = measure_point(protocol, n, runs, delta, topo);

@@ -4,13 +4,13 @@
 //! experiment index in `DESIGN.md` and results in `EXPERIMENTS.md`);
 //! Criterion micro-benchmarks of the hot paths live in `benches/`.
 //!
-//! The library part provides what they share:
-//!
-//! * [`report`] — aligned console tables plus CSV output under
-//!   `target/experiments/`.
-//! * [`harness`] — canonical "run protocol X to consensus and report the
-//!   convergence round" drivers for SF, SSF and the baselines, with
-//!   multi-seed batching.
+//! The library part is [`report`]: aligned console tables plus CSV output
+//! under `target/experiments/`, JSONL traces, run summaries and the
+//! `BENCH_*.json` writer. Running experiments is not done here: every
+//! binary describes its grid as `np_sweep::spec::JobSpec`s and runs them
+//! through the shared driver (`np_sweep::driver` — one world builder, one
+//! settle loop, one seeded batch runner), the same code the CLI and the
+//! sweep scheduler use.
 //!
 //! Run all experiments with:
 //!
@@ -25,5 +25,4 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod report;

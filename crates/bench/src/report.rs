@@ -6,7 +6,8 @@
 //! re-running simulations. The observability layer adds three JSON
 //! artifacts: per-round JSONL traces ([`trace_jsonl`]), end-of-run
 //! summaries ([`RunSummary`]), and the repo's perf-trajectory files
-//! ([`save_bench_json`] → `BENCH_<name>.json` at the workspace root).
+//! ([`save_bench_json`] → `BENCH_<name>.json` at the workspace root, in
+//! the `np_sweep::perf` format).
 //! (All hand-rolled: no serialization crate is in the approved offline
 //! dependency set — see DESIGN.md §2.)
 //!
@@ -22,6 +23,8 @@ use std::path::{Path, PathBuf};
 use np_engine::faults::FaultRecovery;
 use np_engine::metrics::RoundMetrics;
 use np_engine::population::PopulationConfig;
+use np_sweep::manifest::{json_f64, json_string};
+use np_sweep::perf::{bench_json, PerfPoint};
 
 /// A simple column-aligned table.
 ///
@@ -188,16 +191,9 @@ fn csv_cell(s: &str) -> String {
 }
 
 /// The standard output directory for experiment CSVs:
-/// `target/experiments/` relative to the workspace root (falls back to the
-/// current directory's `target/experiments`).
+/// `target/experiments/` under the [`workspace_root`].
 pub fn experiments_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two levels up.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    root.join("target").join("experiments")
+    workspace_root().join("target").join("experiments")
 }
 
 /// The workspace root (two levels above `crates/bench`); the home of the
@@ -208,36 +204,6 @@ pub fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number. Rust's shortest-roundtrip `Display`
-/// is deterministic, so equal values render to equal bytes; non-finite
-/// values (not representable in JSON) become `null`.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Renders one round's metrics as a single JSON object — one line of the
@@ -434,122 +400,32 @@ impl RunSummary {
     }
 }
 
-/// One point of a perf trajectory: a batch of seeded runs at one
-/// configuration, aggregated. Wall-clock means are allowed here — bench
-/// artifacts record performance and are never byte-compared.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfPoint {
-    /// Point label (e.g. `"n=16384"`).
-    pub label: String,
-    /// Population size at this point.
-    pub n: usize,
-    /// Seeded runs at this point.
-    pub runs: usize,
-    /// How many of them converged.
-    pub converged: usize,
-    /// Mean rounds-to-settle over converged runs (`null` if none).
-    pub mean_rounds: Option<f64>,
-    /// Mean wall-clock per run, milliseconds.
-    pub mean_wall_ms: f64,
-    /// Median wall-clock per run, milliseconds. Present only for benches
-    /// that record per-seed wall samples (throughput); omitted from the
-    /// JSON when absent so legacy artifacts stay schema-valid.
-    pub median_wall_ms: Option<f64>,
-    /// 95th-percentile wall-clock per run, milliseconds (nearest-rank
-    /// over the per-seed samples). Paired with `median_wall_ms`: both
-    /// present or both absent.
-    pub p95_wall_ms: Option<f64>,
-    /// Simulation backend that produced this point: `"per-agent"` or
-    /// `"mean-field"`. Omitted from the JSON when absent so legacy
-    /// artifacts (which predate the mean-field counts engine) stay
-    /// schema-valid.
-    pub backend: Option<String>,
-    /// Graph degree at this point (topology benches only). Omitted from
-    /// the JSON when absent so complete-graph artifacts stay
-    /// schema-valid.
-    pub degree: Option<u64>,
-    /// Fraction of runs that converged, `converged / runs` (topology
-    /// benches only, where partial convergence is the interesting
-    /// signal). Omitted from the JSON when absent.
-    pub convergence_rate: Option<f64>,
-    /// Total peer-to-peer messages put on the wire across the point's
-    /// runs (cluster benches only, where message complexity is measured
-    /// rather than derived as `n·h·rounds`). Omitted from the JSON when
-    /// absent so round-engine artifacts stay schema-valid.
-    pub messages_total: Option<u64>,
-}
-
-/// Nearest-rank quantiles of per-run wall samples: `(median, p95)`.
-/// Returns `None` for an empty slice.
-pub fn wall_quantiles(samples_ms: &[f64]) -> Option<(f64, f64)> {
-    if samples_ms.is_empty() {
-        return None;
-    }
-    let mut sorted = samples_ms.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = |q: f64| {
-        let k = (q * sorted.len() as f64).ceil() as usize;
-        sorted[k.max(1) - 1]
-    };
-    Some((rank(0.5), rank(0.95)))
-}
-
-impl PerfPoint {
-    fn to_json(&self) -> String {
-        let mut body = format!(
-            "    {{\"label\": {}, \"n\": {}, \"runs\": {}, \"converged\": {}, \
-             \"mean_rounds\": {}, \"mean_wall_ms\": {}",
-            json_string(&self.label),
-            self.n,
-            self.runs,
-            self.converged,
-            self.mean_rounds.map_or("null".to_string(), json_f64),
-            json_f64(self.mean_wall_ms)
-        );
-        if let (Some(median), Some(p95)) = (self.median_wall_ms, self.p95_wall_ms) {
-            body.push_str(&format!(
-                ", \"median_wall_ms\": {}, \"p95_wall_ms\": {}",
-                json_f64(median),
-                json_f64(p95)
-            ));
-        }
-        if let Some(backend) = &self.backend {
-            body.push_str(&format!(", \"backend\": {}", json_string(backend)));
-        }
-        if let Some(degree) = self.degree {
-            body.push_str(&format!(", \"degree\": {degree}"));
-        }
-        if let Some(rate) = self.convergence_rate {
-            body.push_str(&format!(", \"convergence_rate\": {}", json_f64(rate)));
-        }
-        if let Some(messages) = self.messages_total {
-            body.push_str(&format!(", \"messages_total\": {messages}"));
-        }
-        body.push('}');
-        body
-    }
-}
-
-/// Renders a perf trajectory as the `BENCH_*.json` document.
-pub fn bench_json(bench: &str, points: &[PerfPoint]) -> String {
-    let body: Vec<String> = points.iter().map(PerfPoint::to_json).collect();
-    format!(
-        "{{\n  \"schema\": \"np-bench/v1\",\n  \"bench\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        json_string(bench),
-        body.join(",\n")
-    )
-}
-
-/// Writes the perf trajectory to `BENCH_<name>.json` at the workspace
-/// root (the committed bench-history location) and returns the path.
+/// Writes the perf trajectory to `BENCH_<name>.json` and returns the
+/// path: at the workspace root (the committed bench-history location)
+/// for full runs, under [`experiments_dir`] for `NP_QUICK` smoke runs, so
+/// a quick pass never overwrites a committed artifact with quick-grid
+/// data.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the write.
+/// Propagates I/O errors from directory creation or the write.
 pub fn save_bench_json(name: &str, points: &[PerfPoint]) -> std::io::Result<PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{name}.json"));
+    let path = bench_json_path(name, std::env::var_os("NP_QUICK").is_some());
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
     std::fs::write(&path, bench_json(name, points))?;
     Ok(path)
+}
+
+/// Where [`save_bench_json`] writes `BENCH_<name>.json`.
+fn bench_json_path(name: &str, quick: bool) -> PathBuf {
+    let dir = if quick {
+        experiments_dir()
+    } else {
+        workspace_root()
+    };
+    dir.join(format!("BENCH_{name}.json"))
 }
 
 /// Formats an `f64` with a sensible number of digits for tables.
@@ -777,89 +653,12 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_document_shape() {
-        let points = vec![
-            PerfPoint {
-                label: "n=64".to_string(),
-                n: 64,
-                runs: 4,
-                converged: 4,
-                mean_rounds: Some(12.5),
-                mean_wall_ms: 3.25,
-                median_wall_ms: None,
-                p95_wall_ms: None,
-                backend: None,
-                degree: None,
-                convergence_rate: None,
-                messages_total: None,
-            },
-            PerfPoint {
-                label: "n=128".to_string(),
-                n: 128,
-                runs: 4,
-                converged: 0,
-                mean_rounds: None,
-                mean_wall_ms: 6.5,
-                median_wall_ms: Some(6.25),
-                p95_wall_ms: Some(8.0),
-                backend: Some("mean-field".to_string()),
-                degree: None,
-                convergence_rate: None,
-                messages_total: None,
-            },
-        ];
-        let doc = bench_json("scale", &points);
-        assert!(doc.contains("\"schema\": \"np-bench/v1\""));
-        assert!(doc.contains("\"bench\": \"scale\""));
-        assert!(doc.contains("\"mean_rounds\": 12.5"));
-        assert!(doc.contains("\"mean_rounds\": null"));
-        assert_eq!(doc.matches("\"label\"").count(), 2);
-        // Backend key is trailing and only present when set.
-        assert!(doc.contains("\"p95_wall_ms\": 8, \"backend\": \"mean-field\"}"));
-        assert_eq!(doc.matches("\"backend\"").count(), 1);
-        // Topology keys stay absent unless set.
-        assert!(!doc.contains("degree"));
-        assert!(!doc.contains("convergence_rate"));
-    }
-
-    #[test]
-    fn topology_point_appends_degree_and_rate() {
-        let point = PerfPoint {
-            label: "sf ring:4 d=0.20".to_string(),
-            n: 256,
-            runs: 8,
-            converged: 6,
-            mean_rounds: Some(41.5),
-            mean_wall_ms: 2.0,
-            median_wall_ms: None,
-            p95_wall_ms: None,
-            backend: None,
-            degree: Some(8),
-            convergence_rate: Some(0.75),
-            messages_total: None,
-        };
-        let doc = bench_json("topology", &[point]);
-        assert!(doc.contains("\"degree\": 8, \"convergence_rate\": 0.75}"));
-    }
-
-    #[test]
-    fn cluster_point_appends_messages_total() {
-        let point = PerfPoint {
-            label: "lat=50us drop=0".to_string(),
-            n: 256,
-            runs: 8,
-            converged: 8,
-            mean_rounds: Some(90.0),
-            mean_wall_ms: 95.0,
-            median_wall_ms: Some(92.0),
-            p95_wall_ms: Some(110.0),
-            backend: None,
-            degree: None,
-            convergence_rate: Some(1.0),
-            messages_total: Some(4_096_000),
-        };
-        let doc = bench_json("cluster", &[point]);
-        assert!(doc.contains("\"convergence_rate\": 1, \"messages_total\": 4096000}"));
+    fn quick_runs_write_bench_json_under_target() {
+        let full = bench_json_path("scale", false);
+        assert_eq!(full, workspace_root().join("BENCH_scale.json"));
+        let quick = bench_json_path("scale", true);
+        assert_eq!(quick, experiments_dir().join("BENCH_scale.json"));
+        assert!(quick.starts_with(workspace_root().join("target")));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Subcommand implementations for the `noisy-pull` CLI.
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 use noisy_pull::adversary::SsfAdversary;
@@ -16,13 +17,17 @@ use np_bench::report::{save_trace_jsonl, RunSummary};
 use np_engine::channel::ChannelKind;
 use np_engine::counts::{CountsProtocol, CountsWorld};
 use np_engine::faults::{recovery_times, FaultEvent, FaultPlan};
+use np_engine::metrics::RoundMetrics;
 use np_engine::opinion::Opinion;
-use np_engine::population::PopulationConfig;
 use np_engine::protocol::{ColumnarProtocol, ColumnarState};
 use np_engine::push::PushWorld;
+use np_engine::snapshot::SnapshotState;
 use np_engine::topology::TopologySpec;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
+use np_sweep::driver::{checkpoint, drive, settle, Finish, StopRule};
+use np_sweep::spec::{BackendKind, JobSpec, ProtocolKind};
+use np_sweep::SweepError;
 
 use crate::args::{Args, ArgsError};
 
@@ -33,27 +38,12 @@ fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
 }
 
-/// Simulation backend selected by `--backend` (sf/ssf only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The per-agent engine: one row per agent, full fault/snapshot
-    /// machinery, bit-level reproducibility.
-    PerAgent,
-    /// The mean-field counts engine: class counts only, distributionally
-    /// equivalent to per-agent under the aggregated with-replacement
-    /// channel; scales to `n = 10⁸`.
-    MeanField,
-}
-
 /// Shared population/noise flags.
 struct CommonFlags {
-    n: usize,
-    h: usize,
-    s0: usize,
-    s1: usize,
-    delta: f64,
-    seed: u64,
-    exact: bool,
+    /// The run's job: population, noise level, seed, channel, backend and
+    /// topology from the flags. `run sf|ssf` fill in the protocol, `c1`,
+    /// budget and adversary; the baselines use only the population part.
+    job: JobSpec,
     threads: Option<usize>,
     digest: bool,
     /// Write the per-round JSONL trace here after the run.
@@ -69,10 +59,6 @@ struct CommonFlags {
     checkpoint: Option<PathBuf>,
     /// Checkpoint cadence in rounds (with `--checkpoint`).
     checkpoint_every: u64,
-    /// Which engine runs the protocol (sf/ssf only).
-    backend: Backend,
-    /// Restrict sampling to a graph topology (sf/ssf, per-agent only).
-    topology: Option<TopologySpec>,
 }
 
 impl CommonFlags {
@@ -101,16 +87,8 @@ impl CommonFlags {
                 "flag --checkpoint-every: requires --checkpoint PATH".into(),
             ));
         }
-        let checkpoint_every = every.unwrap_or(32);
-        let backend = match args.str_or("backend", "per-agent").as_str() {
-            "per-agent" => Backend::PerAgent,
-            "mean-field" => Backend::MeanField,
-            other => {
-                return Err(ArgsError(format!(
-                    "flag --backend: unknown backend `{other}`; known: per-agent, mean-field"
-                )))
-            }
-        };
+        let backend = BackendKind::parse(&args.str_or("backend", "per-agent"))
+            .map_err(|e| ArgsError(format!("flag --backend: {e}")))?;
         let topology = match args.get_opt::<String>("topology")? {
             Some(text) => Some(
                 TopologySpec::parse(&text)
@@ -126,14 +104,22 @@ impl CommonFlags {
                     .into(),
             ));
         }
-        Ok(CommonFlags {
-            n,
+        let job = JobSpec {
             h: args.get_or("h", n)?,
             s0: args.get_or("s0", 0usize)?,
             s1: args.get_or("s1", 1usize)?,
-            delta: args.get_or("delta", 0.2f64)?,
             seed: args.get_or("seed", 42u64)?,
-            exact: args.switch("exact")?,
+            channel: if args.switch("exact")? {
+                ChannelKind::Exact
+            } else {
+                ChannelKind::Aggregated
+            },
+            backend,
+            topology: topology.unwrap_or(TopologySpec::Complete),
+            ..JobSpec::new(ProtocolKind::Sf, n, args.get_or("delta", 0.2f64)?)
+        };
+        Ok(CommonFlags {
+            job,
             threads,
             digest: args.switch("digest")?,
             trace: args.get_opt("trace")?,
@@ -141,28 +127,21 @@ impl CommonFlags {
             faults: args.get_all("fault"),
             restore,
             checkpoint,
-            checkpoint_every,
-            backend,
-            topology,
+            checkpoint_every: every.unwrap_or(32),
         })
     }
 
-    /// The mean-field backend has no per-agent rows, so everything that
-    /// addresses individual agents — the exact channel, fault injection,
-    /// snapshots, the opinion-vector digest — is structurally unavailable
-    /// rather than merely unimplemented.
+    /// The mean-field backend has no per-agent rows, so the run features
+    /// that address individual agents — fault injection, snapshots, the
+    /// opinion-vector digest — are structurally unavailable. (The job's
+    /// own rules — channel, topology, adversary — are checked by
+    /// `JobSpec::check`.)
     fn check_mean_field_flags(&self) -> Result<(), String> {
         let reject = |flag: &str, why: &str| {
             Err(format!(
                 "--backend mean-field does not support {flag}: {why}"
             ))
         };
-        if self.exact {
-            return reject(
-                "--exact",
-                "the counts engine is defined over the aggregated with-replacement channel",
-            );
-        }
         if !self.faults.is_empty() {
             return reject("--fault", "fault injection addresses individual agents");
         }
@@ -178,28 +157,55 @@ impl CommonFlags {
                 "the digest fingerprints the per-agent opinion vector",
             );
         }
-        if self.topology.is_some() {
-            return reject(
-                "--topology",
-                "the counts engine assumes exchangeability over the complete graph",
-            );
-        }
         Ok(())
     }
 
-    /// Applies `--topology` to a freshly built world. The world is always
-    /// fresh here: `--topology --restore` was rejected at flag parse time
-    /// (a snapshot carries the topology it was taken under).
-    fn apply_topology<P: np_engine::protocol::ColumnarProtocol>(
+    /// Builds the sf/ssf world with `build` — from the `--restore`
+    /// snapshot if one was given — reports what was restored or which
+    /// topology applies, and applies `--threads`.
+    fn open_world<P: ColumnarProtocol>(
         &self,
-        world: &mut World<P>,
-    ) -> Result<(), String> {
-        let Some(spec) = self.topology else {
-            return Ok(());
+        build: impl FnOnce(Option<&[u8]>) -> Result<World<P>, SweepError>,
+    ) -> Result<World<P>, String> {
+        let snapshot = match &self.restore {
+            Some(path) => Some(
+                std::fs::read(path)
+                    .map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))?,
+            ),
+            None => None,
         };
-        world.set_topology(spec).map_err(err)?;
-        println!("topology: {}", spec.label());
-        Ok(())
+        let mut world = build(snapshot.as_deref()).map_err(err)?;
+        if let Some(path) = &self.restore {
+            println!(
+                "restored {} from round {} (seed {})",
+                path.display(),
+                world.round(),
+                world.seed()
+            );
+        }
+        if !self.job.topology.is_complete() {
+            println!("topology: {}", self.job.topology.label());
+        }
+        self.tune(&mut world);
+        Ok(world)
+    }
+
+    /// The per-round hook sf/ssf run under: the shared checkpoint policy,
+    /// writing `--checkpoint` snapshots.
+    fn checkpoint_hook<P>(
+        &self,
+        budget: u64,
+    ) -> impl FnMut(&World<P>) -> Result<ControlFlow<()>, SweepError> + '_
+    where
+        P: ColumnarProtocol,
+        P::State: SnapshotState,
+    {
+        move |world: &World<P>| {
+            if let Some(path) = &self.checkpoint {
+                checkpoint(world, self.checkpoint_every, budget, path)?;
+            }
+            Ok(ControlFlow::Continue(()))
+        }
     }
 
     /// Returns `true` if any run-observability output was requested.
@@ -207,23 +213,22 @@ impl CommonFlags {
         self.trace.is_some() || self.metrics_out.is_some()
     }
 
-    fn config(&self) -> Result<PopulationConfig, String> {
-        PopulationConfig::new(self.n, self.s0, self.s1, self.h).map_err(err)
-    }
-
-    fn channel(&self) -> ChannelKind {
-        if self.exact {
-            ChannelKind::Exact
-        } else {
-            ChannelKind::Aggregated
-        }
-    }
-
     /// Applies the `--threads` override to a freshly built world.
-    fn tune<P: np_engine::protocol::ColumnarProtocol>(&self, world: &mut World<P>) {
+    fn tune<P: ColumnarProtocol>(&self, world: &mut World<P>) {
         if let Some(t) = self.threads {
             world.set_threads(t);
         }
+    }
+
+    /// A baseline world over the job's population, noise, channel and
+    /// seed.
+    fn baseline_world<P: ColumnarProtocol>(&self, protocol: &P) -> Result<World<P>, String> {
+        let noise = NoiseMatrix::uniform(protocol.alphabet_size(), self.job.delta).map_err(err)?;
+        let config = self.job.config().map_err(err)?;
+        let mut world =
+            World::new(protocol, config, &noise, self.job.channel, self.job.seed).map_err(err)?;
+        self.tune(&mut world);
+        Ok(world)
     }
 }
 
@@ -316,43 +321,14 @@ fn no_corrupt_kinds<S>(kind: &str, _frac: f64) -> Result<FaultEvent<S>, String> 
     ))
 }
 
-/// Writes an `np-snap/v1` blob atomically (temp file + rename), creating
-/// parent directories if needed.
-fn save_snapshot(path: &std::path::Path, bytes: &[u8]) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(err)?;
-        }
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes).map_err(err)?;
-    std::fs::rename(&tmp, path).map_err(err)
-}
-
-/// The per-round hook sf/ssf use to write `--checkpoint` snapshots.
-/// Snapshots are never taken of a consensus or end-of-budget state: a
-/// checkpoint always has live work after it.
-fn checkpoint_hook<P>(
-    common: &CommonFlags,
-    budget: u64,
-) -> impl FnMut(&World<P>) -> Result<(), String> + '_
-where
-    P: np_engine::protocol::ColumnarProtocol,
-    P::State: np_engine::snapshot::SnapshotState,
-{
-    move |world: &World<P>| {
-        let Some(path) = &common.checkpoint else {
-            return Ok(());
-        };
-        if world.round().is_multiple_of(common.checkpoint_every)
-            && world.round() < budget
-            && !world.is_consensus()
-        {
-            save_snapshot(path, &world.snapshot())?;
-        }
-        Ok(())
+/// Prints the settle line every sf/ssf/baseline run reports.
+fn print_settle(label: &str, finish: &Finish, budget: u64, n: usize) {
+    match finish.settled {
+        Some(round) => println!("{label}: consensus settled at round {round} / {budget}"),
+        None => println!(
+            "{label}: NO consensus within {budget} rounds ({}/{n} correct)",
+            finish.correct
+        ),
     }
 }
 
@@ -361,34 +337,13 @@ fn report_run<P: ColumnarProtocol>(
     budget: u64,
     label: &str,
     common: &CommonFlags,
-    mut on_round: impl FnMut(&World<P>) -> Result<(), String>,
+    on_round: impl FnMut(&World<P>) -> Result<ControlFlow<()>, SweepError>,
 ) -> CliResult {
     if common.observing() || world.has_fault_plan() {
         world.record_trace();
     }
-    // `while round < budget` (not `for 1..=budget`): a `--restore`d world
-    // starts mid-run and must only execute the remaining rounds.
-    let mut last_bad = world.round();
-    while world.round() < budget {
-        world.step();
-        if !world.is_consensus() {
-            last_bad = world.round();
-        }
-        on_round(world)?;
-    }
-    let n = world.config().n();
-    if world.is_consensus() {
-        println!(
-            "{label}: consensus settled at round {} / {budget}",
-            last_bad + 1
-        );
-    } else {
-        println!(
-            "{label}: NO consensus within {budget} rounds ({}/{} correct)",
-            world.correct_count(),
-            n
-        );
-    }
+    let finish = drive(world, budget, StopRule::FullBudget, on_round).map_err(err)?;
+    print_settle(label, &finish, budget, world.config().n());
     if common.digest {
         println!("{label} digest: {:#018x}", outcome_digest(world));
     }
@@ -424,29 +379,42 @@ fn report_run<P: ColumnarProtocol>(
             "{label} stage wall-clock: display {:.3?}, observe {:.3?}, collect {:.3?}",
             t.display, t.observe, t.collect
         );
-        if let Some(path) = &common.trace {
-            save_trace_jsonl(path, trace.rounds()).map_err(err)?;
-            println!("{label} trace: {}", path.display());
-        }
-        if let Some(path) = &common.metrics_out {
-            let last = trace
-                .last()
-                .ok_or("--metrics-out: no rounds were executed (budget 0?)")?;
-            // The world's own seed, not the flag: a `--restore`d world
-            // keeps the seed of the run that produced the snapshot.
+        // The world's own seed, not the flag: a `--restore`d world keeps
+        // the seed of the run that produced the snapshot.
+        let summary = |last: &RoundMetrics| {
             RunSummary::from_final_metrics(label, world.config(), world.seed(), last)
                 .with_faults(recoveries)
-                .save(path)
-                .map_err(err)?;
-            println!("{label} summary: {}", path.display());
-        }
+        };
+        save_observations(label, trace.rounds(), summary, common)?;
     }
     Ok(())
 }
 
-/// The mean-field counterpart of [`report_run`]: same console report and
-/// trace/summary outputs, no fault/checkpoint hooks (rejected upstream by
-/// [`CommonFlags::check_mean_field_flags`]).
+/// Writes the `--trace` JSONL and the `--metrics-out` summary (built from
+/// the last round by `summary`) of a finished run.
+fn save_observations(
+    label: &str,
+    rounds: &[RoundMetrics],
+    summary: impl FnOnce(&RoundMetrics) -> RunSummary,
+    common: &CommonFlags,
+) -> CliResult {
+    if let Some(path) = &common.trace {
+        save_trace_jsonl(path, rounds).map_err(err)?;
+        println!("{label} trace: {}", path.display());
+    }
+    if let Some(path) = &common.metrics_out {
+        let last = rounds
+            .last()
+            .ok_or("--metrics-out: no rounds were executed (budget 0?)")?;
+        summary(last).save(path).map_err(err)?;
+        println!("{label} summary: {}", path.display());
+    }
+    Ok(())
+}
+
+/// The mean-field counterpart of [`report_run`]: same loop, console
+/// report and trace/summary outputs, no fault/checkpoint hooks (rejected
+/// upstream by [`CommonFlags::check_mean_field_flags`]).
 fn report_counts_run<P: CountsProtocol>(
     world: &mut CountsWorld<P>,
     budget: u64,
@@ -456,120 +424,91 @@ fn report_counts_run<P: CountsProtocol>(
     if common.observing() {
         world.record_trace();
     }
-    let mut last_bad = world.round();
-    while world.round() < budget {
-        world.step();
-        if !world.is_consensus() {
-            last_bad = world.round();
-        }
-    }
-    let n = world.config().n();
-    if world.is_consensus() {
-        println!(
-            "{label}: consensus settled at round {} / {budget}",
-            last_bad + 1
-        );
-    } else {
-        println!(
-            "{label}: NO consensus within {budget} rounds ({}/{} correct)",
-            world.correct_count(),
-            n
-        );
-    }
+    let finish = settle(world, budget, StopRule::FullBudget);
+    print_settle(label, &finish, budget, world.config().n());
     if common.observing() {
         let rounds = world
             .trace()
             .expect("record_trace was called before the run");
-        if let Some(path) = &common.trace {
-            save_trace_jsonl(path, rounds).map_err(err)?;
-            println!("{label} trace: {}", path.display());
-        }
-        if let Some(path) = &common.metrics_out {
-            let last = rounds
-                .last()
-                .ok_or("--metrics-out: no rounds were executed (budget 0?)")?;
+        let summary = |last: &RoundMetrics| {
             RunSummary::from_final_metrics(label, world.config(), world.seed(), last)
-                .save(path)
-                .map_err(err)?;
-            println!("{label} summary: {}", path.display());
-        }
+        };
+        save_observations(label, rounds, summary, common)?;
     }
     Ok(())
 }
 
 /// `run sf` — run Algorithm SF.
 pub fn run_sf(args: &Args) -> CliResult {
-    let common = CommonFlags::from_args(args).map_err(err)?;
-    let c1 = args.get_or("c1", 1.0f64).map_err(err)?;
+    let mut common = CommonFlags::from_args(args).map_err(err)?;
+    common.job.c1 = args.get_or("c1", 1.0f64).map_err(err)?;
     args.finish().map_err(err)?;
-    let config = common.config()?;
-    let params = SfParams::derive(&config, common.delta, c1).map_err(err)?;
-    let noise = NoiseMatrix::uniform(2, common.delta).map_err(err)?;
+    let job = &common.job;
+    let params = job.sf_params().map_err(err)?;
     println!(
-        "SF: n={} h={} s0={} s1={} δ={} c1={c1} → m={} schedule={} rounds",
-        common.n,
-        common.h,
-        common.s0,
-        common.s1,
-        common.delta,
+        "SF: n={} h={} s0={} s1={} δ={} c1={} → m={} schedule={} rounds",
+        job.n,
+        job.h,
+        job.s0,
+        job.s1,
+        job.delta,
+        job.c1,
         params.m(),
         params.total_rounds()
     );
     let protocol = SourceFilter::new(params);
-    if common.backend == Backend::MeanField {
-        common.check_mean_field_flags()?;
-        let mut world = CountsWorld::new(&protocol, config, &noise, common.seed).map_err(err)?;
-        return report_counts_run(&mut world, params.total_rounds(), "SF", &common);
-    }
-    let mut world = match &common.restore {
-        Some(path) => restore_world(&protocol, path)?,
-        None => {
-            World::new(&protocol, config, &noise, common.channel(), common.seed).map_err(err)?
-        }
-    };
-    common.tune(&mut world);
-    common.apply_topology(&mut world)?;
-    if !common.faults.is_empty() {
-        let plan = parse_faults(&common.faults, 2, common.delta, no_corrupt_kinds)?;
-        if common.restore.is_some() {
-            // The snapshot carries the fault *cursor*; re-supply the full
-            // plan so pending events keep their stream coordinates.
-            world.reattach_fault_plan(plan).map_err(err)?;
-        } else {
-            world.set_fault_plan(plan).map_err(err)?;
-        }
-    }
+    let build = |snapshot: Option<&[u8]>| job.world(&protocol, snapshot);
     let budget = params.total_rounds();
-    let hook = checkpoint_hook(&common, budget);
-    report_run(&mut world, budget, "SF", &common, hook)
+    run_job(&common, "SF", &protocol, budget, build, no_corrupt_kinds)
 }
 
-/// Reads and restores an `np-snap/v1` world for `--restore`.
-fn restore_world<P>(protocol: &P, path: &std::path::Path) -> Result<World<P>, String>
+/// Runs an sf/ssf job: on the mean-field backend, or per-agent from
+/// `build` (fresh or `--restore`d) with the `--fault` plan attached,
+/// `corrupt` resolving the protocol's own fault kinds.
+fn run_job<P>(
+    common: &CommonFlags,
+    label: &str,
+    protocol: &P,
+    budget: u64,
+    build: impl FnOnce(Option<&[u8]>) -> Result<World<P>, SweepError>,
+    corrupt: impl Fn(&str, f64) -> Result<FaultEvent<<P as ColumnarProtocol>::State>, String>,
+) -> CliResult
 where
-    P: np_engine::protocol::ColumnarProtocol,
-    P::State: np_engine::snapshot::SnapshotState,
+    P: ColumnarProtocol + CountsProtocol,
+    <P as ColumnarProtocol>::State: SnapshotState,
 {
-    let bytes =
-        std::fs::read(path).map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))?;
-    let world = World::restore(protocol, &bytes).map_err(err)?;
-    println!(
-        "restored {} from round {} (seed {})",
-        path.display(),
-        world.round(),
-        world.seed()
-    );
-    Ok(world)
+    if common.job.backend == BackendKind::MeanField {
+        common.check_mean_field_flags()?;
+        let mut world = common.job.counts_world(protocol).map_err(err)?;
+        return report_counts_run(&mut world, budget, label, common);
+    }
+    let mut world = common.open_world(build)?;
+    if !common.faults.is_empty() {
+        let d = ColumnarProtocol::alphabet_size(protocol);
+        let plan = parse_faults(&common.faults, d, common.job.delta, corrupt)?;
+        // A restored world keeps the fault *cursor* in its snapshot:
+        // re-supply the full plan so pending events keep their stream
+        // coordinates.
+        if common.restore.is_some() {
+            world.reattach_fault_plan(plan)
+        } else {
+            world.set_fault_plan(plan)
+        }
+        .map_err(err)?;
+    }
+    let hook = common.checkpoint_hook(budget);
+    report_run(&mut world, budget, label, common, hook)
 }
 
 /// `run ssf` — run Algorithm SSF, optionally under an adversary.
 pub fn run_ssf(args: &Args) -> CliResult {
-    let common = CommonFlags::from_args(args).map_err(err)?;
-    let c1 = args.get_or("c1", 16.0f64).map_err(err)?;
-    let intervals = args.get_or("budget-intervals", 10u64).map_err(err)?;
+    let mut common = CommonFlags::from_args(args).map_err(err)?;
+    common.job.protocol = ProtocolKind::Ssf;
+    common.job.c1 = args.get_or("c1", 16.0f64).map_err(err)?;
+    common.job.budget_intervals = args.get_or("budget-intervals", 10u64).map_err(err)?;
     let adversary_name = args.str_or("adversary", "none");
     args.finish().map_err(err)?;
-    let adversary = SsfAdversary::ALL
+    common.job.adversary = SsfAdversary::ALL
         .into_iter()
         .find(|a| a.name() == adversary_name)
         .ok_or_else(|| {
@@ -582,72 +521,44 @@ pub fn run_ssf(args: &Args) -> CliResult {
                     .join(", ")
             )
         })?;
-    let config = common.config()?;
-    let params = SsfParams::derive(&config, common.delta, c1).map_err(err)?;
-    let noise = NoiseMatrix::uniform(4, common.delta).map_err(err)?;
+    let job = &common.job;
+    let params = job.ssf_params().map_err(err)?;
     println!(
-        "SSF: n={} h={} δ={} c1={c1} adversary={adversary} → m={} interval={} rounds",
-        common.n,
-        common.h,
-        common.delta,
+        "SSF: n={} h={} δ={} c1={} adversary={} → m={} interval={} rounds",
+        job.n,
+        job.h,
+        job.delta,
+        job.c1,
+        job.adversary,
         params.m(),
         params.update_interval()
     );
     let protocol = SelfStabilizingSourceFilter::new(params);
-    if common.backend == Backend::MeanField {
-        common.check_mean_field_flags()?;
-        if adversary != SsfAdversary::None {
-            return Err(
-                "--backend mean-field does not support --adversary: initial corruption \
-                 addresses individual agents"
-                    .into(),
-            );
-        }
-        let mut world = CountsWorld::new(&protocol, config, &noise, common.seed).map_err(err)?;
-        let budget = intervals * params.update_interval();
-        return report_counts_run(&mut world, budget, "SSF", &common);
-    }
-    let mut world = match &common.restore {
-        Some(path) => restore_world(&protocol, path)?,
-        None => {
-            World::new(&protocol, config, &noise, common.channel(), common.seed).map_err(err)?
-        }
+    let build = |snapshot: Option<&[u8]>| job.ssf_world(&protocol, snapshot);
+    let budget = job.budget_intervals * params.update_interval();
+    let correct = job.config().map_err(err)?.correct_opinion();
+    let corrupt = |kind: &str, frac| {
+        let adv = SsfAdversary::ALL
+            .into_iter()
+            .find(|a| a.name() == kind)
+            .ok_or_else(|| {
+                format!(
+                    "unknown kind `{kind}`; known: flip, noise, ramp, sleep, {}",
+                    SsfAdversary::ALL
+                        .iter()
+                        .map(|a| a.name())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )
+            })?;
+        Ok(adv.fault_event(frac, correct, params.m()))
     };
-    common.tune(&mut world);
-    common.apply_topology(&mut world)?;
-    let correct = config.correct_opinion();
-    let m = params.m();
-    if common.restore.is_none() {
-        // Initial adversarial corruption is part of round 0; a restored
-        // world already carries its effects in the snapshot.
-        world.corrupt_agents(|id, agent, rng| adversary.corrupt(agent, correct, m, id, rng));
-    }
-    if !common.faults.is_empty() {
-        let plan = parse_faults(&common.faults, 4, common.delta, |kind, frac| {
-            let adv = SsfAdversary::ALL
-                .into_iter()
-                .find(|a| a.name() == kind)
-                .ok_or_else(|| {
-                    format!(
-                        "unknown kind `{kind}`; known: flip, noise, ramp, sleep, {}",
-                        SsfAdversary::ALL
-                            .iter()
-                            .map(|a| a.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                })?;
-            Ok(adv.fault_event(frac, correct, m))
-        })?;
-        if common.restore.is_some() {
-            world.reattach_fault_plan(plan).map_err(err)?;
-        } else {
-            world.set_fault_plan(plan).map_err(err)?;
-        }
-    }
-    let budget = intervals * params.update_interval();
-    let hook = checkpoint_hook(&common, budget);
-    report_run(&mut world, budget, "SSF", &common, hook)
+    run_job(&common, "SSF", &protocol, budget, build, corrupt)
+}
+
+/// The baselines' per-round hook: they have no checkpoints.
+fn no_checkpoints<P: ColumnarProtocol>(_: &World<P>) -> Result<ControlFlow<()>, SweepError> {
+    Ok(ControlFlow::Continue(()))
 }
 
 /// `run baseline <name>` — run one of the comparison protocols.
@@ -663,49 +574,32 @@ pub fn run_baseline(name: &str, args: &Args) -> CliResult {
             "--restore/--checkpoint are only supported for the sf and ssf subcommands".into(),
         );
     }
-    if common.backend != Backend::PerAgent {
+    if common.job.backend != BackendKind::PerAgent {
         return Err("--backend is only supported for the sf and ssf subcommands".into());
     }
-    if common.topology.is_some() {
+    if !common.job.topology.is_complete() {
         return Err(
             "--topology is only supported for the sf and ssf subcommands: the baselines pin \
              the paper's complete-graph model"
                 .into(),
         );
     }
-    let config = common.config()?;
     match name {
         "voter" => {
-            let noise = NoiseMatrix::uniform(2, common.delta).map_err(err)?;
-            let mut world =
-                World::new(&ZealotVoter, config, &noise, common.channel(), common.seed)
-                    .map_err(err)?;
-            common.tune(&mut world);
-            report_run(&mut world, budget, "zealot-voter", &common, |_| Ok(()))?;
+            let mut world = common.baseline_world(&ZealotVoter)?;
+            report_run(&mut world, budget, "zealot-voter", &common, no_checkpoints)?;
         }
         "majority" => {
-            let noise = NoiseMatrix::uniform(2, common.delta).map_err(err)?;
-            let mut world =
-                World::new(&HMajority, config, &noise, common.channel(), common.seed)
-                    .map_err(err)?;
-            common.tune(&mut world);
-            report_run(&mut world, budget, "h-majority", &common, |_| Ok(()))?;
+            let mut world = common.baseline_world(&HMajority)?;
+            report_run(&mut world, budget, "h-majority", &common, no_checkpoints)?;
         }
         "trusting-copy" => {
-            let noise = NoiseMatrix::uniform(4, common.delta).map_err(err)?;
-            let mut world =
-                World::new(&TrustingCopy, config, &noise, common.channel(), common.seed)
-                    .map_err(err)?;
-            common.tune(&mut world);
-            report_run(&mut world, budget, "trusting-copy", &common, |_| Ok(()))?;
+            let mut world = common.baseline_world(&TrustingCopy)?;
+            report_run(&mut world, budget, "trusting-copy", &common, no_checkpoints)?;
         }
         "mean-estimator" => {
-            let noise = NoiseMatrix::uniform(2, common.delta).map_err(err)?;
-            let proto = MeanEstimator::new(common.delta);
-            let mut world =
-                World::new(&proto, config, &noise, common.channel(), common.seed).map_err(err)?;
-            common.tune(&mut world);
-            report_run(&mut world, budget, "mean-estimator", &common, |_| Ok(()))?;
+            let mut world = common.baseline_world(&MeanEstimator::new(common.job.delta))?;
+            report_run(&mut world, budget, "mean-estimator", &common, no_checkpoints)?;
         }
         "push" => {
             if common.observing() {
@@ -715,11 +609,12 @@ pub fn run_baseline(name: &str, args: &Args) -> CliResult {
                         .into(),
                 );
             }
-            let params = PushSpreadingParams::derive(common.n, common.h, common.delta);
-            let noise = NoiseMatrix::uniform(2, common.delta).map_err(err)?;
-            let mut world =
-                PushWorld::new(&PushSpreading::new(params), config, &noise, common.seed)
-                    .map_err(err)?;
+            let job = &common.job;
+            let params = PushSpreadingParams::derive(job.n, job.h, job.delta);
+            let noise = NoiseMatrix::uniform(2, job.delta).map_err(err)?;
+            let config = job.config().map_err(err)?;
+            let mut world = PushWorld::new(&PushSpreading::new(params), config, &noise, job.seed)
+                .map_err(err)?;
             world.run(params.total_rounds());
             if world.is_consensus() {
                 println!(
@@ -731,7 +626,7 @@ pub fn run_baseline(name: &str, args: &Args) -> CliResult {
                 println!(
                     "push-spreading: NO consensus ({}/{} correct)",
                     world.correct_count(),
-                    common.n
+                    job.n
                 );
             }
         }
@@ -1307,7 +1202,9 @@ mod tests {
             let e = run_sf(&args(&v)).unwrap_err();
             assert!(e.contains(needle), "{flags:?} → {e}");
         };
-        check(&["--exact"], "--exact");
+        // The job's own rules (channel, topology, adversary) are worded
+        // by `JobSpec::check`, in job terms.
+        check(&["--exact"], "does not support channel exact");
         check(&["--fault", "3:flip"], "--fault");
         check(&["--restore", "x.snap"], "--restore");
         check(&["--checkpoint", "x.snap"], "--checkpoint");
@@ -1323,7 +1220,7 @@ mod tests {
             "all-wrong",
         ]))
         .unwrap_err();
-        assert!(e.contains("--adversary"), "{e}");
+        assert!(e.contains("does not support adversary all-wrong"), "{e}");
         let e = run_sf(&args(&["--n", "64", "--backend", "quantum"])).unwrap_err();
         assert!(e.contains("unknown backend"), "{e}");
         let e =
@@ -1376,7 +1273,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(
-            e.contains("--topology") && e.contains("exchangeability"),
+            e.contains("does not support topology ring:4") && e.contains("exchangeability"),
             "{e}"
         );
         // Baselines pin the complete-graph model.

@@ -22,6 +22,14 @@
 //!   chunk parallelism), checkpoints each world every K rounds via
 //!   `World::snapshot` (`np-snap/v1`), and on resume continues only
 //!   incomplete jobs from their latest snapshot.
+//! * [`driver`] — the one run driver the whole workspace shares: a
+//!   [`spec::JobSpec`] becomes a per-agent or mean-field world in one
+//!   place, one step loop runs it to a stop rule and reports the settle
+//!   round, and one policy writes checkpoints atomically. The scheduler,
+//!   the CLI's `run sf|ssf` and the experiment binaries all run jobs
+//!   through it.
+//! * [`perf`] — the `np-bench/v1` perf-point format shared by sweep
+//!   reports and the committed `BENCH_*.json` files.
 //!
 //! Determinism contract: the aggregated `np-bench/v1` report of a sweep
 //! that was interrupted and resumed (any number of times, at any thread
@@ -38,7 +46,9 @@
 
 use std::fmt;
 
+pub mod driver;
 pub mod manifest;
+pub mod perf;
 pub mod scheduler;
 pub mod spec;
 

@@ -258,8 +258,9 @@ pub fn latest<'a>(records: &'a [JobRecord], job: &str) -> Option<&'a JobRecord> 
     records.iter().rev().find(|r| r.job == job)
 }
 
-/// Escapes a string as a JSON string literal (report.rs conventions).
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal (the hand-rolled encoding
+/// every artifact writer in the workspace shares).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -279,7 +280,7 @@ fn json_string(s: &str) -> String {
 
 /// Renders an `f64` as a JSON number (shortest-roundtrip `Display`, so
 /// equal values render to equal bytes; non-finite becomes `null`).
-fn json_f64(x: f64) -> String {
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {

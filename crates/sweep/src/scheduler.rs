@@ -9,8 +9,10 @@
 //! is a pure function of its [`JobSpec`], and the aggregate visits jobs in
 //! spec order regardless of completion order.
 //!
-//! Checkpoint discipline: the loop steps, checks consensus (and breaks),
-//! and only then considers checkpointing — so a snapshot is never taken
+//! Checkpoint discipline: jobs run through the shared
+//! [`crate::driver::drive`] loop, which stops at the first consensus
+//! before the per-round hook runs, and the hook applies the one
+//! [`crate::driver::checkpoint`] policy — so a snapshot is never taken
 //! of a consensus state or of a finished budget, and every checkpoint is
 //! guaranteed to have live work after it. Snapshot files are written to
 //! `checkpoints/<job>.snap` via a temp-file rename, and the manifest
@@ -23,25 +25,21 @@
 //! reproduces the uninterrupted report byte for byte. Wall clocks appear
 //! only in [`measure_throughput`], whose output is never byte-compared.
 
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use noisy_pull::params::{SfParams, SsfParams};
 use noisy_pull::sf::SourceFilter;
-use noisy_pull::sf_alternating::AlternatingSourceFilter;
-use noisy_pull::ssf::SelfStabilizingSourceFilter;
-use np_bench::report::{bench_json, PerfPoint};
-use np_engine::channel::ChannelKind;
 use np_engine::counts::{CountsProtocol, CountsWorld};
-use np_engine::population::PopulationConfig;
 use np_engine::protocol::ColumnarProtocol;
 use np_engine::runner::scatter;
 use np_engine::snapshot::SnapshotState;
 use np_engine::world::World;
-use np_linalg::noise::NoiseMatrix;
 
+use crate::driver::{checkpoint, drive, Finish, RunWorld, StopRule};
 use crate::manifest::{append_record, latest, load_manifest, JobRecord, JobStatus};
+use crate::perf::{bench_json, wall_quantiles, PerfPoint};
 use crate::spec::{BackendKind, JobSpec, ProtocolKind, SweepSpec};
 use crate::{err, SweepError};
 
@@ -117,18 +115,13 @@ impl SweepCtx<'_> {
         append_record(&self.manifest_path, record).map_err(err)
     }
 
-    /// Counts one checkpoint write; returns `true` if the sweep-wide
-    /// `stop_after` budget is now exhausted (and flags the stop).
-    fn note_checkpoint(&self) -> bool {
+    /// Counts one checkpoint write and flags the stop once the
+    /// sweep-wide `stop_after` budget is exhausted.
+    fn note_checkpoint(&self) {
         let written = self.checkpoints_written.fetch_add(1, Ordering::SeqCst) + 1;
-        let Some(limit) = self.stop_after else {
-            return false;
-        };
-        if written >= limit {
+        if self.stop_after.is_some_and(|limit| written >= limit) {
             self.stop.store(true, Ordering::SeqCst);
-            return true;
         }
-        false
     }
 }
 
@@ -245,187 +238,98 @@ fn base_record(job: &JobSpec, budget: u64) -> JobRecord {
 }
 
 /// Runs one job to completion (or until the sweep-wide stop flag trips),
-/// dispatching on the protocol.
+/// resuming from the job's latest checkpoint if the manifest names one.
 fn run_job(job: &JobSpec, prior: Option<&JobRecord>, ctx: &SweepCtx<'_>) -> Result<(), SweepError> {
-    let config = PopulationConfig::new(job.n, job.s0, job.s1, job.h).map_err(err)?;
-    if job.backend == BackendKind::MeanField {
-        return match job.protocol {
-            ProtocolKind::Sf => {
-                let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-                let budget = params.total_rounds();
-                drive_counts(&SourceFilter::new(params), config, budget, job, ctx)
-            }
-            ProtocolKind::Ssf => {
-                let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-                let budget = job.budget_intervals * params.update_interval();
-                drive_counts(
-                    &SelfStabilizingSourceFilter::new(params),
-                    config,
-                    budget,
-                    job,
-                    ctx,
-                )
-            }
-            // `SweepSpec::parse` rejects mean-field + sf-alt; guard anyway
-            // so a hand-built spec fails loudly instead of silently
-            // running the wrong engine.
-            ProtocolKind::SfAlt => Err(SweepError(
-                "backend mean-field does not support protocol sf-alt".into(),
-            )),
-        };
-    }
-    match job.protocol {
-        ProtocolKind::Sf => {
-            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = params.total_rounds();
-            drive(&SourceFilter::new(params), config, budget, job, prior, ctx)
-        }
-        ProtocolKind::SfAlt => {
-            let params = SfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = params.total_rounds();
-            drive(
-                &AlternatingSourceFilter::new(params),
-                config,
-                budget,
-                job,
-                prior,
-                ctx,
-            )
-        }
-        ProtocolKind::Ssf => {
-            let params = SsfParams::derive(&config, job.delta, job.c1).map_err(err)?;
-            let budget = job.budget_intervals * params.update_interval();
-            drive(
-                &SelfStabilizingSourceFilter::new(params),
-                config,
-                budget,
-                job,
-                prior,
-                ctx,
-            )
-        }
-    }
-}
-
-/// The generic job loop: build or restore the world, step to consensus or
-/// budget, checkpointing every K rounds.
-fn drive<P>(
-    protocol: &P,
-    config: PopulationConfig,
-    budget: u64,
-    job: &JobSpec,
-    prior: Option<&JobRecord>,
-    ctx: &SweepCtx<'_>,
-) -> Result<(), SweepError>
-where
-    P: ColumnarProtocol,
-    P::State: SnapshotState,
-{
-    let mut world = match prior {
+    let snapshot = match prior {
         Some(rec) if rec.status == JobStatus::Checkpointed => {
             let rel = rec.checkpoint.as_deref().ok_or_else(|| {
                 SweepError("checkpointed manifest record has no checkpoint path".into())
             })?;
-            let bytes = std::fs::read(ctx.out.join(rel))
-                .map_err(|e| SweepError(format!("cannot read checkpoint {rel}: {e}")))?;
-            World::restore(protocol, &bytes).map_err(err)?
+            Some(
+                std::fs::read(ctx.out.join(rel))
+                    .map_err(|e| SweepError(format!("cannot read checkpoint {rel}: {e}")))?,
+            )
         }
-        _ => {
-            let noise =
-                NoiseMatrix::uniform(job.protocol.alphabet_size(), job.delta).map_err(err)?;
-            let mut world = World::new(protocol, config, &noise, ChannelKind::Aggregated, job.seed)
-                .map_err(err)?;
-            // Restored worlds skip this: an np-snap/v2 checkpoint already
-            // carries the topology it was taken under.
-            if !job.topology.is_complete() {
-                world.set_topology(job.topology).map_err(err)?;
-            }
-            world
-        }
+        _ => None,
     };
-    // One engine thread per world: the sweep already parallelizes across
-    // jobs, and oversubscribing cores would only add scheduling noise.
-    world.set_threads(1);
+    job.build(snapshot.as_deref(), SweepRun { job, ctx })
+}
 
-    while world.round() < budget {
-        if ctx.stopped() {
-            // Leave the job as the manifest last described it; resume
-            // re-runs the suffix deterministically.
+/// A sweep job's run: step to the first consensus or the budget, stop
+/// when the sweep-wide flag trips, and journal the outcome.
+struct SweepRun<'a, 'b> {
+    job: &'a JobSpec,
+    ctx: &'a SweepCtx<'b>,
+}
+
+impl SweepRun<'_, '_> {
+    fn keep_going(&self) -> ControlFlow<()> {
+        if self.ctx.stopped() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// Appends the `done` record — unless the sweep was stopped, in which
+    /// case the job stays as the manifest last described it and resume
+    /// re-runs the suffix deterministically.
+    fn done(&self, finish: Finish, budget: u64) -> Result<(), SweepError> {
+        if self.ctx.stopped() {
             return Ok(());
         }
-        world.step();
-        if world.is_consensus() {
-            break;
-        }
-        if world.round().is_multiple_of(ctx.checkpoint_every) && world.round() < budget {
-            let rel = write_checkpoint(ctx.out, &job.id, &world.snapshot())?;
-            let mut rec = base_record(job, budget);
-            rec.status = JobStatus::Checkpointed;
-            rec.checkpoint = Some(rel);
-            rec.round = world.round();
-            rec.correct = world.correct_count();
-            ctx.append(&rec)?;
-            if ctx.note_checkpoint() {
-                return Ok(());
+        let mut rec = base_record(self.job, budget);
+        rec.status = JobStatus::Done;
+        rec.round = finish.round;
+        rec.consensus = finish.converged();
+        rec.correct = finish.correct;
+        self.ctx.append(&rec)
+    }
+}
+
+impl RunWorld for SweepRun<'_, '_> {
+    type Output = ();
+
+    fn per_agent<P>(self, mut world: World<P>, budget: u64) -> Result<(), SweepError>
+    where
+        P: ColumnarProtocol,
+        P::State: SnapshotState,
+    {
+        // One engine thread per world: the sweep already parallelizes
+        // across jobs, and oversubscribing cores would only add
+        // scheduling noise.
+        world.set_threads(1);
+        let rel = format!("checkpoints/{}.snap", self.job.id);
+        let path = self.ctx.out.join(&rel);
+        let finish = drive(&mut world, budget, StopRule::FirstConsensus, |world| {
+            if checkpoint(world, self.ctx.checkpoint_every, budget, &path)? {
+                let mut rec = base_record(self.job, budget);
+                rec.status = JobStatus::Checkpointed;
+                rec.checkpoint = Some(rel.clone());
+                rec.round = world.round();
+                rec.correct = world.correct_count();
+                self.ctx.append(&rec)?;
+                self.ctx.note_checkpoint();
             }
-        }
+            Ok::<_, SweepError>(self.keep_going())
+        })?;
+        self.done(finish, budget)
     }
 
-    let mut rec = base_record(job, budget);
-    rec.status = JobStatus::Done;
-    rec.round = world.round();
-    rec.consensus = world.is_consensus();
-    rec.correct = world.correct_count();
-    ctx.append(&rec)
-}
-
-/// The mean-field job loop: counts jobs are `O(states)` per round, so
-/// they run atomically — no snapshots, no checkpoint records. A stop
-/// request between rounds abandons the job (no record appended) and
-/// resume re-runs it from scratch, which costs less than one per-agent
-/// checkpoint restore.
-fn drive_counts<P: CountsProtocol>(
-    protocol: &P,
-    config: PopulationConfig,
-    budget: u64,
-    job: &JobSpec,
-    ctx: &SweepCtx<'_>,
-) -> Result<(), SweepError> {
-    // `SweepSpec::parse` rejects mean-field + non-complete topologies;
-    // guard hand-built specs the same way the sf-alt arm does.
-    if !job.topology.is_complete() {
-        return Err(SweepError(format!(
-            "backend mean-field does not support topology {}",
-            job.topology.label()
-        )));
+    /// Counts jobs are `O(states)` per round, so they run atomically — no
+    /// snapshots, no checkpoint records. A stop abandons the job and
+    /// resume re-runs it from scratch, which costs less than one
+    /// per-agent checkpoint restore.
+    fn mean_field<P: CountsProtocol>(
+        self,
+        mut world: CountsWorld<P>,
+        budget: u64,
+    ) -> Result<(), SweepError> {
+        let finish = drive(&mut world, budget, StopRule::FirstConsensus, |_| {
+            Ok::<_, SweepError>(self.keep_going())
+        })?;
+        self.done(finish, budget)
     }
-    let noise = NoiseMatrix::uniform(job.protocol.alphabet_size(), job.delta).map_err(err)?;
-    let mut world = CountsWorld::new(protocol, config, &noise, job.seed).map_err(err)?;
-    while world.round() < budget {
-        if ctx.stopped() {
-            return Ok(());
-        }
-        world.step();
-        if world.is_consensus() {
-            break;
-        }
-    }
-    let mut rec = base_record(job, budget);
-    rec.status = JobStatus::Done;
-    rec.round = world.round();
-    rec.consensus = world.is_consensus();
-    rec.correct = world.correct_count();
-    ctx.append(&rec)
-}
-
-/// Writes a snapshot to `checkpoints/<job>.snap` atomically (temp file +
-/// rename) and returns the out-relative path.
-fn write_checkpoint(out: &Path, job_id: &str, bytes: &[u8]) -> Result<String, SweepError> {
-    let rel = format!("checkpoints/{job_id}.snap");
-    let tmp = out.join(format!("checkpoints/{job_id}.snap.tmp"));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, out.join(&rel))?;
-    Ok(rel)
 }
 
 /// Aggregates `done` records into one [`PerfPoint`] per grid point, in
@@ -487,9 +391,7 @@ pub fn aggregate(spec: &SweepSpec, records: &[JobRecord]) -> Result<Vec<PerfPoin
                         // stay byte-identical to pre-backend artifacts.
                         backend: (spec.backend == BackendKind::MeanField)
                             .then(|| BackendKind::MeanField.name().to_string()),
-                        degree: None,
-                        convergence_rate: None,
-                        messages_total: None,
+                        ..PerfPoint::default()
                     });
                 }
             }
@@ -529,17 +431,11 @@ pub fn measure_throughput(spec: &ThroughputSpec) -> Result<Vec<PerfPoint>, Sweep
         let mut samples_ms = Vec::with_capacity(seeds);
         let mut converged = 0usize;
         for run in 0..seeds {
-            let config = PopulationConfig::new(spec.n, 0, 1, spec.n).map_err(err)?;
-            let params = SfParams::derive(&config, spec.delta, 1.0).map_err(err)?;
-            let noise = NoiseMatrix::uniform(2, spec.delta).map_err(err)?;
-            let mut world = World::new(
-                &SourceFilter::new(params),
-                config,
-                &noise,
-                ChannelKind::Aggregated,
-                spec.seed + run as u64,
-            )
-            .map_err(err)?;
+            let job = JobSpec {
+                seed: spec.seed + run as u64,
+                ..JobSpec::new(ProtocolKind::Sf, spec.n, spec.delta)
+            };
+            let mut world = job.world(&SourceFilter::new(job.sf_params()?), None)?;
             world.set_threads(threads);
             // xtask-allow: wall-clock (throughput is the one sanctioned timing site)
             let start = std::time::Instant::now();
@@ -550,7 +446,7 @@ pub fn measure_throughput(spec: &ThroughputSpec) -> Result<Vec<PerfPoint>, Sweep
         let mean = samples_ms.iter().sum::<f64>() / samples_ms.len() as f64;
         // The fallback is unreachable: seeds >= 1, so samples_ms is never
         // empty and wall_quantiles always returns the real order stats.
-        let (median, p95) = np_bench::report::wall_quantiles(&samples_ms).unwrap_or((mean, mean));
+        let (median, p95) = wall_quantiles(&samples_ms).unwrap_or((mean, mean));
         points.push(PerfPoint {
             label: format!("sf n={} threads={threads}", spec.n),
             n: spec.n,
@@ -560,10 +456,7 @@ pub fn measure_throughput(spec: &ThroughputSpec) -> Result<Vec<PerfPoint>, Sweep
             mean_wall_ms: mean,
             median_wall_ms: Some(median),
             p95_wall_ms: Some(p95),
-            backend: None,
-            degree: None,
-            convergence_rate: None,
-            messages_total: None,
+            ..PerfPoint::default()
         });
     }
     Ok(points)

@@ -23,6 +23,8 @@
 //! alone, so the expansion is a pure function of the spec text — the
 //! property `--resume` relies on.
 
+use noisy_pull::adversary::SsfAdversary;
+use np_engine::channel::ChannelKind;
 use np_engine::topology::TopologySpec;
 use np_stats::seeds::SeedSequence;
 
@@ -146,10 +148,13 @@ pub struct SweepSpec {
     pub topologies: Vec<TopologySpec>,
 }
 
-/// One expanded job: a single seeded run at one grid point.
+/// One job: a single seeded run at one grid point. Sweeps expand it from
+/// a spec; the CLI and the experiment binaries build it directly (see
+/// [`JobSpec::new`]). [`crate::driver`] turns it into a world and runs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Stable id, `{protocol}-n{n}-d{delta}-r{run}` — the manifest key.
+    /// Stable id, `{protocol}-n{n}-d{delta}-r{run}` — the manifest key
+    /// (empty outside sweeps).
     pub id: String,
     /// Protocol to run.
     pub protocol: ProtocolKind,
@@ -175,6 +180,37 @@ pub struct JobSpec {
     pub backend: BackendKind,
     /// Interaction graph the job's world samples over.
     pub topology: TopologySpec,
+    /// Initial-state corruption (SSF only; sweeps use `None`).
+    pub adversary: SsfAdversary,
+    /// Observation channel of the per-agent world (sweeps use
+    /// `Aggregated`).
+    pub channel: ChannelKind,
+}
+
+impl JobSpec {
+    /// A single-source, `h = n`, complete-graph per-agent job with the
+    /// protocol's default `c1`, a 10-interval SSF budget, no adversary,
+    /// the aggregated channel and seed 0. Callers override fields with
+    /// struct-update syntax.
+    pub fn new(protocol: ProtocolKind, n: usize, delta: f64) -> Self {
+        JobSpec {
+            id: String::new(),
+            protocol,
+            n,
+            h: n,
+            s0: 0,
+            s1: 1,
+            delta,
+            c1: protocol.default_c1(),
+            seed: 0,
+            run: 0,
+            budget_intervals: 10,
+            backend: BackendKind::PerAgent,
+            topology: TopologySpec::Complete,
+            adversary: SsfAdversary::None,
+            channel: ChannelKind::Aggregated,
+        }
+    }
 }
 
 impl SweepSpec {
@@ -283,20 +319,18 @@ impl SweepSpec {
         if spec.runs == 0 {
             return Err(SweepError("spec: `runs` must be at least 1".into()));
         }
-        if spec.backend == BackendKind::MeanField && spec.protocols.contains(&ProtocolKind::SfAlt) {
-            return Err(SweepError(
-                "spec: backend mean-field does not support protocol sf-alt \
-                 (no counts port of the alternating display)"
-                    .into(),
-            ));
-        }
-        if spec.backend == BackendKind::MeanField {
-            if let Some(t) = spec.topologies.iter().find(|t| !t.is_complete()) {
-                return Err(SweepError(format!(
-                    "spec: backend mean-field does not support topology {} \
-                     (the counts engine assumes exchangeability over the complete graph)",
-                    t.label()
-                )));
+        // The job rules depend only on protocol, backend and topology, so
+        // one probe job per pair checks the whole grid without expanding it.
+        for &protocol in &spec.protocols {
+            for &topology in &spec.topologies {
+                let probe = JobSpec {
+                    backend: spec.backend,
+                    topology,
+                    ..JobSpec::new(protocol, 1, 0.0)
+                };
+                probe
+                    .check()
+                    .map_err(|e| SweepError(format!("spec: {e}")))?;
             }
         }
         Ok(spec)
@@ -355,6 +389,8 @@ impl SweepSpec {
                                 budget_intervals: self.budget_intervals,
                                 backend: self.backend,
                                 topology,
+                                adversary: SsfAdversary::None,
+                                channel: ChannelKind::Aggregated,
                             });
                         }
                     }

@@ -374,7 +374,6 @@ pub const SCOPES: &[ScopeDef] = &[
             "crates/core/src/sf.rs",
             "crates/core/src/sf_alternating.rs",
             "crates/core/src/ssf.rs",
-            "crates/baselines/src/majority.rs",
         ],
         exclude_files: &[],
         fns: &[

@@ -223,6 +223,38 @@ fn phase_kernel_scope_covers_the_protocol_kernels() {
 }
 
 #[test]
+fn library_scope_covers_the_run_driver() {
+    // The run driver every caller shares lives in np-sweep: it must sit
+    // under the library rules, be clean as committed (its one timing
+    // site carries an allow), and still flag a wall clock added anywhere
+    // else in it.
+    let scope = SCOPES
+        .iter()
+        .find(|s| s.name == "library")
+        .expect("library scope");
+    assert!(scope.crates.contains(&"crates/sweep"));
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text =
+        std::fs::read_to_string(root.join("crates/sweep/src/driver.rs")).expect("driver source");
+    let wall_clock = |text: &str| {
+        analyze_source(FileClass::LibrarySource, text, &[LIB])
+            .iter()
+            .filter(|f| f.rule == "wall-clock")
+            .count()
+    };
+    assert_eq!(wall_clock(&text), 0, "driver has findings as committed");
+    let signature_end = ") -> Result<Finish, E> {";
+    let at = text.find("pub fn drive<").expect("drive");
+    let body = at + text[at..].find(signature_end).expect("drive body") + signature_end.len();
+    let injected = format!(
+        "{}\n    let _t = Instant::now();{}",
+        &text[..body],
+        &text[body..]
+    );
+    assert_eq!(wall_clock(&injected), 1, "injected wall clock not caught");
+}
+
+#[test]
 fn stale_allow_flags_unused_and_unknown_directives() {
     let got = findings("stale_allow.rs", FileClass::LibrarySource, &[LIB]);
     let summary: Vec<(String, usize)> = got.iter().map(|f| (f.rule.to_owned(), f.line)).collect();

@@ -180,6 +180,23 @@ cargo run -q --release -p np-cli -- \
 diff "$sweep_dir/straight/report.json" "$sweep_dir/resumed/report.json"
 echo "sweep reports agree"
 
+# Experiment-table thread-invariance gate: the shared batch runner fans
+# seeded runs over NOISY_PULL_THREADS workers, so the tables the
+# experiment binaries print must not depend on how many. Six grid
+# binaries run their NP_QUICK grids at 1 and 2 threads; stdout must match
+# byte for byte apart from the [csv]/[bench] output-path lines.
+echo "### experiment tables at 1 vs 2 threads (NP_QUICK)"
+for exp in exp_logtime exp_self_stab exp_bias_sweep exp_sf_variant \
+           exp_lb_tightness exp_baselines; do
+  for t in 1 2; do
+    NP_QUICK=1 NOISY_PULL_THREADS="$t" \
+      cargo run -q --release -p np-bench --bin "$exp" \
+      | grep -v -e '^\[csv\]' -e '^\[bench\]' > "$trace_dir/$exp.t$t.out"
+  done
+  diff "$trace_dir/$exp.t1.out" "$trace_dir/$exp.t2.out"
+done
+echo "experiment tables agree at 1 and 2 threads"
+
 # Packed-vs-per-agent artifact diff: SF's packed bit-plane lane kernels
 # and the per-agent reference (the same record stepped through the
 # engine's ScalarState adapter) must write byte-identical trace/summary

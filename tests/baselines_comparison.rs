@@ -6,7 +6,7 @@ use noisy_pull_repro::baselines::mean_estimator::MeanEstimator;
 use noisy_pull_repro::baselines::trusting_copy::TrustingCopy;
 use noisy_pull_repro::baselines::voter::ZealotVoter;
 use noisy_pull_repro::prelude::*;
-use np_bench::harness::run_settled;
+use np_sweep::driver::{settle, StopRule};
 
 const N: usize = 256;
 const DELTA: f64 = 0.15;
@@ -31,7 +31,7 @@ fn successes<P: ColumnarProtocol>(proto: &P, delta: f64) -> u32 {
             0xBEEF + seed,
         )
         .unwrap();
-        if run_settled(&mut world, budget()).converged() {
+        if settle(&mut world, budget(), StopRule::FullBudget).converged() {
             wins += 1;
         }
     }

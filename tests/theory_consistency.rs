@@ -3,25 +3,30 @@
 
 use noisy_pull_repro::core::theory;
 use noisy_pull_repro::prelude::*;
-use np_bench::harness::{summarize, SfSetup};
+use np_stats::seeds::SeedSequence;
+use np_sweep::driver::{auto_channel, run_seeds, summarize, StopRule};
+use np_sweep::spec::{JobSpec, ProtocolKind};
+
+/// Mean settle round of `runs` seeded runs of `job` (all must converge).
+fn mean_settle(job: &JobSpec, master: u64, runs: usize) -> f64 {
+    let records = run_seeds(job, SeedSequence::new(master), runs, StopRule::FullBudget).unwrap();
+    summarize(&records).1.expect("converges").mean()
+}
+
+/// Single source, `h` samples, `c1 = 1`.
+fn sf(n: usize, h: usize, delta: f64) -> JobSpec {
+    JobSpec {
+        h,
+        channel: auto_channel(h),
+        ..JobSpec::new(ProtocolKind::Sf, n, delta)
+    }
+}
 
 #[test]
 fn doubling_h_roughly_halves_time_in_the_h_bound_regime() {
     // n modest, h ≪ n: the 1/h term dominates the schedule.
-    let base = SfSetup {
-        n: 256,
-        s0: 0,
-        s1: 1,
-        h: 4,
-        delta: 0.1,
-        c1: 1.0,
-    };
-    let faster = SfSetup { h: 8, ..base };
-    let t_base = summarize(&base.run_many(1, 6)).1.expect("converges").mean();
-    let t_fast = summarize(&faster.run_many(2, 6))
-        .1
-        .expect("converges")
-        .mean();
+    let t_base = mean_settle(&sf(256, 4, 0.1), 1, 6);
+    let t_fast = mean_settle(&sf(256, 8, 0.1), 2, 6);
     let ratio = t_base / t_fast;
     assert!(
         (1.5..=2.6).contains(&ratio),
@@ -32,16 +37,8 @@ fn doubling_h_roughly_halves_time_in_the_h_bound_regime() {
 #[test]
 fn settle_time_at_h_equals_n_is_logarithmic_not_linear() {
     // Quadrupling n must NOT quadruple the time (it should grow ~ln n).
-    let small = SfSetup::single_source_full_sample(128, 0.2, 1.0);
-    let large = SfSetup::single_source_full_sample(512, 0.2, 1.0);
-    let t_small = summarize(&small.run_many(3, 6))
-        .1
-        .expect("converges")
-        .mean();
-    let t_large = summarize(&large.run_many(4, 6))
-        .1
-        .expect("converges")
-        .mean();
+    let t_small = mean_settle(&sf(128, 128, 0.2), 3, 6);
+    let t_large = mean_settle(&sf(512, 512, 0.2), 4, 6);
     let growth = t_large / t_small;
     let linear_growth = 4.0;
     assert!(
@@ -52,11 +49,7 @@ fn settle_time_at_h_equals_n_is_logarithmic_not_linear() {
 
 #[test]
 fn measured_time_within_log_factor_of_lower_bound() {
-    let setup = SfSetup::single_source_full_sample(512, 0.2, 1.0);
-    let measured = summarize(&setup.run_many(5, 6))
-        .1
-        .expect("converges")
-        .mean();
+    let measured = mean_settle(&sf(512, 512, 0.2), 5, 6);
     let lb = theory::lower_bound_rounds(512, 512, 1, 0.2, 2).unwrap();
     let ratio = measured / lb.max(1.0);
     let log_n = (512f64).ln();
@@ -119,15 +112,7 @@ fn theorem_formulas_bound_schedules_consistently() {
         (1024, 64, 0.2),
         (2048, 2048, 0.2),
     ] {
-        let setup = SfSetup {
-            n,
-            s0: 0,
-            s1: 1,
-            h,
-            delta,
-            c1: 1.0,
-        };
-        let schedule = setup.params().total_rounds() as f64;
+        let schedule = sf(n, h, delta).budget().unwrap() as f64;
         let formula = theory::sf_upper_bound_rounds(n, h, 0, 1, delta).unwrap();
         ratios.push(schedule / formula);
     }
