@@ -205,7 +205,8 @@ mod tests {
         let config = PopulationConfig::new(64, 0, 40, 64).unwrap();
         let noise = NoiseMatrix::uniform(2, 0.1).unwrap();
         let mut w = CountsWorld::new(&HMajority, config, &noise, 42).unwrap();
-        assert!(w.run_until_consensus(500).converged());
+        w.run(500);
+        assert!(w.is_consensus());
         assert_eq!(w.state().ones(), 64);
     }
 

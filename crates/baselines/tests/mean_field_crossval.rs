@@ -13,7 +13,6 @@
 use np_baselines::majority::HMajority;
 use np_engine::channel::ChannelKind;
 use np_engine::counts::CountsWorld;
-use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
@@ -52,12 +51,12 @@ fn per_agent_exact(seed: u64) -> Vec<f64> {
     let n = config.n();
     let mut world =
         World::new(&HMajority, config, &noise, ChannelKind::Exact, seed).expect("valid world");
-    world.record_series();
-    world.run(ROUNDS);
-    let correct = world
-        .series()
-        .expect("series recorded")
-        .counts(Opinion::One);
+    let correct: Vec<usize> = (0..ROUNDS)
+        .map(|_| {
+            world.step();
+            world.correct_count()
+        })
+        .collect();
     stats_from_counts(&correct, n)
 }
 
@@ -65,12 +64,12 @@ fn mean_field(seed: u64) -> Vec<f64> {
     let (config, noise) = setup();
     let n = config.n();
     let mut world = CountsWorld::new(&HMajority, config, &noise, seed).expect("valid world");
-    world.record_series();
-    world.run(ROUNDS);
-    let correct = world
-        .series()
-        .expect("series recorded")
-        .counts(Opinion::One);
+    let correct: Vec<usize> = (0..ROUNDS)
+        .map(|_| {
+            world.step();
+            world.correct_count()
+        })
+        .collect();
     stats_from_counts(&correct, n)
 }
 

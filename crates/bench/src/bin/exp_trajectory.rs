@@ -27,21 +27,17 @@ use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
 fn record<P: ColumnarProtocol>(mut world: World<P>, rounds: u64, label: &str, csv: &str) {
-    world.record_series();
-    world.run(rounds);
-    let series = world.series().expect("recording enabled");
-    let correct = world.config().correct_opinion();
     // The full series goes to CSV only — hundreds of rows have no place on
     // the console.
     let mut full = Table::new(label, &["round", "correct_count"]);
-    for r in 0..series.len() {
-        full.push_row(&[&(r + 1), &series.count(r, correct)]);
+    for r in 1..=rounds {
+        world.step();
+        full.push_row(&[&r, &world.correct_count()]);
     }
     match full.save_csv(&np_bench::report::experiments_dir(), csv) {
         Ok(path) => println!(
-            "{label}: {} rounds, final correct = {}/{} → {}",
-            series.len(),
-            series.count(series.len() - 1, correct),
+            "{label}: {rounds} rounds, final correct = {}/{} → {}",
+            world.correct_count(),
             world.config().n(),
             path.display()
         ),

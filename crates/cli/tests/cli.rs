@@ -163,6 +163,22 @@ fn cluster_writes_run_summary() {
 }
 
 #[test]
+fn ring_wider_than_the_population_is_a_typed_error() {
+    // 2k overflows usize for this k: the width check must not compute it.
+    let err = run_err(&[
+        "run",
+        "sf",
+        "--n",
+        "16",
+        "--topology",
+        "ring:9223372036854775808",
+    ]);
+    assert!(err.contains("bad topology"), "{err}");
+    assert!(err.contains("too wide for n = 16"), "{err}");
+    assert!(!err.contains("overflow"), "{err}");
+}
+
+#[test]
 fn cluster_rejects_round_engine_flags() {
     let err = run_err(&["cluster", "--topology", "ring:2"]);
     assert!(err.contains("does not support --topology"), "{err}");

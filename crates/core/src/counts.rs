@@ -521,18 +521,16 @@ mod tests {
         // Mirror of sf.rs's per-agent convergence test: n = 256, h = n,
         // δ = 0.2, single one-source.
         let mut w = sf_world(256, 0.2, 11);
-        let budget = 4 * 256;
-        let outcome = w.run_until_consensus(budget);
-        assert!(outcome.converged(), "got {outcome:?}");
-        assert_eq!(w.correct_count(), 256);
+        w.run(4 * 256);
+        assert!(w.is_consensus(), "correct = {}", w.correct_count());
     }
 
     #[test]
     fn ssf_counts_converges_single_source() {
         let mut w = ssf_world(256, 0.1, 3);
         let interval = w.state().params.update_interval();
-        let outcome = w.run_until_consensus(8 * interval);
-        assert!(outcome.converged(), "got {outcome:?}");
+        w.run(8 * interval);
+        assert!(w.is_consensus(), "correct = {}", w.correct_count());
     }
 
     #[test]

@@ -448,12 +448,6 @@ impl ColumnarState for SfColumns {
         self.gathered[id] = a.gathered;
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            *slot = display(self.stage[id], self.role[id], self.opinion[id]);
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -534,10 +528,6 @@ impl ColumnarState for SfColumns {
         }
     }
 
-    fn opinion(&self, id: usize) -> Opinion {
-        self.opinion[id]
-    }
-
     fn count_opinion(&self, opinion: Opinion) -> usize {
         self.opinion.iter().filter(|&&o| o == opinion).count()
     }
@@ -546,15 +536,6 @@ impl ColumnarState for SfColumns {
     fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
         let lanes = self.opinion.iter().zip(&self.stage).zip(&self.weak);
         MetricsSweep::from_agents(correct, lanes.map(|((&op, &st), &weak)| (op, st, weak)))
-    }
-
-    /// The lane form of [`SfAgent`]'s trend-change hook.
-    fn flip_source_preferences(&mut self) -> usize {
-        self.role
-            .iter_mut()
-            .map(flip_preference)
-            .filter(|&f| f)
-            .count()
     }
 }
 

@@ -364,18 +364,6 @@ impl ColumnarState for AltSfColumns {
         self.mem1[id] = a.mem1;
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            *slot = display(
-                self.stage[id],
-                self.role[id],
-                self.round_in_stage[id],
-                self.base_display[id],
-                self.opinion[id],
-            );
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -462,10 +450,6 @@ impl ColumnarState for AltSfColumns {
         }
     }
 
-    fn opinion(&self, id: usize) -> Opinion {
-        self.opinion[id]
-    }
-
     fn count_opinion(&self, opinion: Opinion) -> usize {
         self.opinion.iter().filter(|&&o| o == opinion).count()
     }
@@ -474,15 +458,6 @@ impl ColumnarState for AltSfColumns {
     fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
         let lanes = self.opinion.iter().zip(&self.stage).zip(&self.weak);
         MetricsSweep::from_agents(correct, lanes.map(|((&op, &st), &weak)| (op, st, weak)))
-    }
-
-    /// The lane form of [`AltSfAgent`]'s trend-change hook.
-    fn flip_source_preferences(&mut self) -> usize {
-        self.role
-            .iter_mut()
-            .map(flip_preference)
-            .filter(|&f| f)
-            .count()
     }
 }
 

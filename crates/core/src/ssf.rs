@@ -396,12 +396,6 @@ impl ColumnarState for SsfColumns {
         self.updates[id] = a.updates;
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], _streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            *slot = display(self.role[id], self.weak[id]);
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -473,10 +467,6 @@ impl ColumnarState for SsfColumns {
         }
     }
 
-    fn opinion(&self, id: usize) -> Opinion {
-        self.opinion[id]
-    }
-
     fn count_opinion(&self, opinion: Opinion) -> usize {
         self.opinion.iter().filter(|&&o| o == opinion).count()
     }
@@ -489,15 +479,6 @@ impl ColumnarState for SsfColumns {
             correct,
             lanes.map(|((&op, &updates), &weak)| (op, flush_stage(updates), Some(weak))),
         )
-    }
-
-    /// The lane form of [`SsfAgent`]'s trend-change hook.
-    fn flip_source_preferences(&mut self) -> usize {
-        self.role
-            .iter_mut()
-            .map(flip_preference)
-            .filter(|&f| f)
-            .count()
     }
 }
 

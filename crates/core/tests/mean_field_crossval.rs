@@ -26,7 +26,6 @@ use noisy_pull::sf::SourceFilter;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
 use np_engine::counts::CountsWorld;
-use np_engine::opinion::Opinion;
 use np_engine::population::PopulationConfig;
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
@@ -75,10 +74,12 @@ fn sf_stats_per_agent(n: usize, seed: u64) -> RunStats {
         seed,
     )
     .expect("valid world");
-    world.record_series();
-    world.run(params.total_rounds());
-    let series = world.series().expect("series recorded");
-    let correct: Vec<usize> = series.counts(Opinion::One);
+    let correct: Vec<usize> = (0..params.total_rounds())
+        .map(|_| {
+            world.step();
+            world.correct_count()
+        })
+        .collect();
     RunStats {
         probes: probes
             .iter()
@@ -93,10 +94,12 @@ fn sf_stats_mean_field(n: usize, seed: u64) -> RunStats {
     let probes = sf_probe_rounds(&params);
     let mut world =
         CountsWorld::new(&SourceFilter::new(params), config, &noise, seed).expect("valid world");
-    world.record_series();
-    world.run(params.total_rounds());
-    let series = world.series().expect("series recorded");
-    let correct: Vec<usize> = series.counts(Opinion::One);
+    let correct: Vec<usize> = (0..params.total_rounds())
+        .map(|_| {
+            world.step();
+            world.correct_count()
+        })
+        .collect();
     RunStats {
         probes: probes
             .iter()

@@ -20,7 +20,7 @@ use np_engine::channel::ChannelKind;
 use np_engine::packed::{chunk_len_for, PackedDisplays};
 use np_engine::population::PopulationConfig;
 use np_engine::protocol::{AgentState, ColumnarProtocol, ColumnarState, Protocol};
-use np_engine::streams::{RoundStreams, StreamRng};
+use np_engine::streams::{RoundStreams, StreamRng, StreamStage};
 use np_engine::world::World;
 use np_linalg::noise::NoiseMatrix;
 
@@ -90,13 +90,15 @@ fn check_protocol<P, A>(
                 w
             })
             .collect();
-        let n = config.n();
         for round in 0..=rounds {
             let context = format!("{label} {kind:?} round {round}");
-            let mut want = vec![0usize; n];
             let streams = RoundStreams::new(SEED, round);
-            reference.state().display_chunk(0..n, &mut want, &streams);
             let records: Vec<A> = reference.iter_agents().collect();
+            let want: Vec<usize> = records
+                .iter()
+                .enumerate()
+                .map(|(id, a)| a.display(&mut streams.rng(id, StreamStage::Display)))
+                .collect();
             for (world, threads) in lanes.iter_mut().zip(THREAD_MATRIX) {
                 assert_packed_matches(world.state(), &want, d, &context);
                 assert!(

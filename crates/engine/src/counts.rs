@@ -33,7 +33,7 @@
 
 use crate::channel::{Channel, ChannelKind, SamplingMode};
 use crate::error::EngineError;
-use crate::metrics::{MetricsSweep, OpinionSeries, RoundMetrics, RunOutcome};
+use crate::metrics::{MetricsSweep, RoundMetrics};
 use crate::opinion::Opinion;
 use crate::population::PopulationConfig;
 use crate::streams::{RoundStreams, StreamRng, StreamStage};
@@ -76,9 +76,8 @@ pub trait CountsState {
 }
 
 /// The mean-field analogue of [`crate::world::World`]: owns a counts
-/// state and a channel, advances rounds, and exposes the same run /
-/// consensus / recording API so experiment harnesses can switch backends
-/// without restructuring.
+/// state and a channel, advances rounds, and exposes the same step /
+/// consensus / trace API, so one driver loop runs either backend.
 pub struct CountsWorld<P: CountsProtocol> {
     state: P::State,
     config: PopulationConfig,
@@ -86,7 +85,6 @@ pub struct CountsWorld<P: CountsProtocol> {
     correct_opinion: Opinion,
     seed: u64,
     round: u64,
-    series: Option<OpinionSeries>,
     trace: Option<Vec<RoundMetrics>>,
 }
 
@@ -135,7 +133,6 @@ impl<P: CountsProtocol> CountsWorld<P> {
             correct_opinion,
             seed,
             round: 0,
-            series: None,
             trace: None,
         })
     }
@@ -164,20 +161,6 @@ impl<P: CountsProtocol> CountsWorld<P> {
     /// Read access to the class-count state.
     pub fn state(&self) -> &P::State {
         &self.state
-    }
-
-    /// Enables per-round recording of opinion counts (see
-    /// [`CountsWorld::series`]).
-    pub fn record_series(&mut self) {
-        if self.series.is_none() {
-            self.series = Some(OpinionSeries::new(self.config.n()));
-        }
-    }
-
-    /// The recorded opinion series, if [`CountsWorld::record_series`] was
-    /// called.
-    pub fn series(&self) -> Option<&OpinionSeries> {
-        self.series.as_ref()
     }
 
     /// Enables the per-round metrics trace (see [`CountsWorld::trace`]).
@@ -212,27 +195,14 @@ impl<P: CountsProtocol> CountsWorld<P> {
         self.state
             .advance_round(ctx.obs_law(), self.config.h() as u64, &mut rng);
         self.round = next_round;
-        if self.series.is_some() || self.trace.is_some() {
+        if let Some(trace) = self.trace.as_mut() {
             let sweep = self.state.metrics_sweep(self.correct_opinion);
-            let correct = sweep.correct;
-            if let Some(series) = self.series.as_mut() {
-                let ones = match self.correct_opinion {
-                    Opinion::One => correct,
-                    Opinion::Zero => self.config.n() - correct,
-                };
-                series.push(ones);
-            }
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(RoundMetrics {
-                    round: self.round,
-                    n: self.config.n(),
-                    correct,
-                    stages: sweep.stages,
-                    weak_formed: sweep.weak_formed,
-                    weak_correct: sweep.weak_correct,
-                    faults: Vec::new(),
-                });
-            }
+            trace.push(RoundMetrics::from_sweep(
+                self.round,
+                self.config.n(),
+                sweep,
+                Vec::new(),
+            ));
         }
     }
 
@@ -252,57 +222,6 @@ impl<P: CountsProtocol> CountsWorld<P> {
     /// opinion — the paper's consensus condition (Definition 2).
     pub fn is_consensus(&self) -> bool {
         self.correct_count() == self.config.n()
-    }
-
-    /// Steps until consensus on the correct opinion or until `budget`
-    /// rounds have run — same semantics as
-    /// [`crate::world::World::run_until_consensus`].
-    pub fn run_until_consensus(&mut self, budget: u64) -> RunOutcome {
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                return RunOutcome::Converged {
-                    rounds: self.round - start,
-                };
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
-    }
-
-    /// Steps until consensus has *held* for `window` consecutive rounds —
-    /// same semantics as
-    /// [`crate::world::World::run_until_stable_consensus`].
-    pub fn run_until_stable_consensus(&mut self, budget: u64, window: u64) -> RunOutcome {
-        let window = window.max(1);
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        let mut streak: u64 = 0;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                streak += 1;
-                if streak >= window {
-                    return RunOutcome::Converged {
-                        rounds: (self.round - start).saturating_sub(window - 1),
-                    };
-                }
-            } else {
-                streak = 0;
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
     }
 }
 
@@ -387,21 +306,15 @@ mod tests {
     #[test]
     fn step_advances_rounds_and_records() {
         let mut w = world(3);
-        w.record_series();
         w.record_trace();
         w.run(5);
         assert_eq!(w.round(), 5);
-        assert_eq!(w.series().unwrap().len(), 5);
         let trace = w.trace().unwrap();
         assert_eq!(trace.len(), 5);
         assert_eq!(trace[4].round, 5);
         assert_eq!(trace[4].n, 100);
         assert!(trace.iter().all(|m| m.faults.is_empty()));
-        // Series and trace must agree on the correct count.
-        assert_eq!(
-            w.series().unwrap().count(4, w.correct_opinion()),
-            trace[4].correct
-        );
+        assert_eq!(trace[4].correct, w.correct_count());
     }
 
     #[test]
@@ -411,10 +324,6 @@ mod tests {
         let mut w = world(7);
         w.state.non_ones = 90;
         assert!(w.is_consensus());
-        assert_eq!(
-            w.run_until_consensus(10),
-            RunOutcome::Converged { rounds: 0 }
-        );
         w.run(3);
         assert_eq!(w.correct_count(), 100);
     }
@@ -425,27 +334,25 @@ mod tests {
         // every round, and once non-sources tip to ones q₁ grows — the
         // chain absorbs at all-one almost surely within a modest budget.
         let mut w = world(11);
-        let outcome = w.run_until_stable_consensus(500, 3);
-        assert!(outcome.converged(), "got {outcome:?}");
+        w.run(500);
+        assert!(w.is_consensus(), "correct = {}", w.correct_count());
     }
 
     #[test]
     fn same_seed_reproduces_trajectory() {
-        let runs: Vec<Vec<usize>> = (0..2)
-            .map(|_| {
-                let mut w = world(42);
-                w.record_series();
-                w.run(20);
-                w.series().unwrap().counts(Opinion::One)
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        let mut other = world(43);
-        other.record_series();
-        other.run(20);
+        let correct_counts = |seed: u64| -> Vec<usize> {
+            let mut w = world(seed);
+            (0..20)
+                .map(|_| {
+                    w.step();
+                    w.correct_count()
+                })
+                .collect()
+        };
+        assert_eq!(correct_counts(42), correct_counts(42));
         assert_ne!(
-            runs[0],
-            other.series().unwrap().counts(Opinion::One),
+            correct_counts(42),
+            correct_counts(43),
             "different seeds should diverge"
         );
     }

@@ -1,5 +1,6 @@
-//! Run metrics: convergence outcomes, time series of opinion counts, and
-//! the per-round observer hook ([`RunObserver`] / [`TraceRecorder`]).
+//! Run metrics: convergence outcomes, the per-round record
+//! ([`RoundMetrics`]), and the per-round observer hook ([`RunObserver`] /
+//! [`TraceRecorder`]).
 //!
 //! # Determinism vs. timing
 //!
@@ -50,70 +51,6 @@ impl RunOutcome {
     }
 }
 
-/// Per-round time series of how many agents hold each opinion.
-///
-/// Recording is optional (it costs one pass per round); enable it with
-/// [`crate::world::World::record_series`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpinionSeries {
-    ones: Vec<usize>,
-    n: usize,
-}
-
-impl OpinionSeries {
-    /// Creates an empty series for a population of `n` agents.
-    pub fn new(n: usize) -> Self {
-        OpinionSeries {
-            ones: Vec::new(),
-            n,
-        }
-    }
-
-    /// Appends one round's count of agents holding opinion 1.
-    pub fn push(&mut self, ones: usize) {
-        debug_assert!(ones <= self.n);
-        self.ones.push(ones);
-    }
-
-    /// Number of recorded rounds.
-    pub fn len(&self) -> usize {
-        self.ones.len()
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ones.is_empty()
-    }
-
-    /// Count of agents holding `opinion` after the given recorded round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round >= self.len()`.
-    pub fn count(&self, round: usize, opinion: Opinion) -> usize {
-        match opinion {
-            Opinion::One => self.ones[round],
-            Opinion::Zero => self.n - self.ones[round],
-        }
-    }
-
-    /// The margin above half of the population holding `opinion` after the
-    /// given round — the paper's `A_ℓ` when `opinion` is correct (can be
-    /// negative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `round >= self.len()`.
-    pub fn margin(&self, round: usize, opinion: Opinion) -> f64 {
-        self.count(round, opinion) as f64 - self.n as f64 / 2.0
-    }
-
-    /// The full series of counts for `opinion`, one entry per round.
-    pub fn counts(&self, opinion: Opinion) -> Vec<usize> {
-        (0..self.len()).map(|r| self.count(r, opinion)).collect()
-    }
-}
-
 /// Deterministic snapshot of the system after one completed round,
 /// collected by the observer hook (enable with
 /// [`crate::world::World::record_trace`] or
@@ -143,6 +80,25 @@ pub struct RoundMetrics {
 }
 
 impl RoundMetrics {
+    /// Assembles one round's record from the state's observability sweep
+    /// — the one constructor every backend builds its trace through.
+    pub(crate) fn from_sweep(
+        round: u64,
+        n: usize,
+        sweep: MetricsSweep,
+        faults: Vec<String>,
+    ) -> Self {
+        RoundMetrics {
+            round,
+            n,
+            correct: sweep.correct,
+            stages: sweep.stages,
+            weak_formed: sweep.weak_formed,
+            weak_correct: sweep.weak_correct,
+            faults,
+        }
+    }
+
     /// The margin of the correct opinion over half the population — the
     /// paper's `A_ℓ` (can be negative).
     pub fn margin(&self) -> f64 {
@@ -384,21 +340,5 @@ mod tests {
         // Durations are non-negative by construction; just exercise both
         // paths and check the type round-trips.
         assert!(a + b >= a);
-    }
-
-    #[test]
-    fn series_counts_and_margins() {
-        let mut s = OpinionSeries::new(10);
-        assert!(s.is_empty());
-        s.push(3);
-        s.push(7);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.count(0, Opinion::One), 3);
-        assert_eq!(s.count(0, Opinion::Zero), 7);
-        assert_eq!(s.count(1, Opinion::One), 7);
-        assert_eq!(s.margin(1, Opinion::One), 2.0);
-        assert_eq!(s.margin(0, Opinion::One), -2.0);
-        assert_eq!(s.counts(Opinion::One), vec![3, 7]);
-        assert_eq!(s.counts(Opinion::Zero), vec![7, 3]);
     }
 }

@@ -128,12 +128,16 @@ pub trait ColumnarProtocol {
 
 /// Whole-population protocol state, processable in agent chunks.
 ///
-/// The world drives one round as: [`ColumnarState::display_chunk`] over
-/// disjoint ranges (shared `&self`), then the channel fills observations,
-/// then [`ColumnarState::step_chunk`] over the disjoint mutable views
-/// produced by [`ColumnarState::chunks_mut`]. All randomness comes from the
-/// per-agent streams passed in, never from shared state — that is the
-/// whole-engine invariant making results independent of chunking.
+/// The world drives one round as: [`ColumnarState::display_chunk_packed`]
+/// over disjoint ranges (shared `&self`), then the channel fills
+/// observations, then [`ColumnarState::step_chunk`] over the disjoint
+/// mutable views produced by [`ColumnarState::chunks_mut`]. Everything
+/// else — inspection, corruption, the trend-change fault, message-passing
+/// nodes — goes one agent at a time through the record seam
+/// ([`ColumnarState::agent`] / [`ColumnarState::set_agent`]). All
+/// randomness comes from the per-agent streams passed in, never from
+/// shared state — that is the whole-engine invariant making results
+/// independent of chunking.
 pub trait ColumnarState: Send + Sync {
     /// A mutable view of one contiguous agent chunk, safe to hand to a
     /// worker thread.
@@ -169,28 +173,19 @@ pub trait ColumnarState: Send + Sync {
         self.len() == 0
     }
 
-    /// Writes the displayed symbols of agents `range` into `out` (indexed
-    /// from the start of the range). Implementations needing display
-    /// randomness must use `streams.rng(id, StreamStage::Display)` per
-    /// agent.
-    ///
-    /// This is the *per-symbol seam*: the exact channel's literal sampling
-    /// path and the equivalence tests consume it. The hot round loop
-    /// displays through [`ColumnarState::display_chunk_packed`] instead.
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams);
-
     /// Writes the displayed symbols of agents `range` into a packed
-    /// bit-plane chunk ([`crate::packed`]) — the representation the hot
-    /// round loop runs on. `chunk` covers exactly the agents of `range`
+    /// bit-plane chunk ([`crate::packed`]) — the representation the round
+    /// loop runs on. `chunk` covers exactly the agents of `range`
     /// (`chunk.start() == range.start`, `chunk.len() == range.len()`);
-    /// implementations must clear it first and must produce **the same
-    /// symbols** as [`ColumnarState::display_chunk`] for the same streams
-    /// — the packed-vs-per-agent equivalence tests hold every
-    /// implementation to that.
+    /// implementations must clear it first (or overwrite every word) and
+    /// must produce **the same symbols** as [`AgentState::display`] on
+    /// each agent's record for the same streams — the
+    /// packed-vs-per-agent equivalence tests hold every implementation to
+    /// that. Implementations needing display randomness must use
+    /// `streams.rng(id, StreamStage::Display)` per agent.
     ///
-    /// The blanket [`ScalarState`] adapter routes through
-    /// [`ColumnarState::display_chunk`] in 64-agent windows; lane states
-    /// write bit planes directly.
+    /// The blanket [`ScalarState`] adapter displays agent by agent in
+    /// 64-agent windows; lane states write bit planes directly.
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -225,28 +220,9 @@ pub trait ColumnarState: Send + Sync {
         awake: Option<&[bool]>,
     );
 
-    /// Inverts the source preference of every agent that has one — the
-    /// columnar form of [`AgentState::flip_source_preference`]. Returns
-    /// how many preferences were flipped. The default is a no-op.
-    fn flip_source_preferences(&mut self) -> usize {
-        0
-    }
-
-    /// The current opinion of agent `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id >= self.len()`.
-    fn opinion(&self, id: usize) -> Opinion;
-
-    /// Number of agents currently holding `opinion`. The default scans
-    /// [`ColumnarState::opinion`]; lane states may override with a column
-    /// sweep.
-    fn count_opinion(&self, opinion: Opinion) -> usize {
-        (0..self.len())
-            .filter(|&i| self.opinion(i) == opinion)
-            .count()
-    }
+    /// Number of agents currently holding `opinion` — a sweep of the
+    /// opinion column, run after every round by the consensus checks.
+    fn count_opinion(&self, opinion: Opinion) -> usize;
 
     /// One observability sweep over the population: correct-opinion
     /// count, stage occupancy, and weak-opinion accuracy, all relative to
@@ -297,13 +273,6 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         self.agents[id] = agent;
     }
 
-    fn display_chunk(&self, range: Range<usize>, out: &mut [usize], streams: &RoundStreams) {
-        for (slot, id) in out.iter_mut().zip(range) {
-            let mut rng = streams.rng(id, StreamStage::Display);
-            *slot = self.agents[id].display(&mut rng);
-        }
-    }
-
     fn display_chunk_packed(
         &self,
         range: Range<usize>,
@@ -315,15 +284,18 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         chunk.clear();
         let d = chunk.alphabet_size();
         // Agents produce symbols one at a time; pack through a stack
-        // window so the alphabet invariant is checked with the same
-        // global-agent-naming panic the per-symbol path raises.
+        // window so the alphabet invariant is checked before any symbol
+        // reaches the planes, with a panic naming the global agent id.
         let mut window = [0usize; 64];
         let mut start = range.start;
         let mut local = 0;
         while start < range.end {
             let take = 64.min(range.end - start);
             let buf = &mut window[..take];
-            self.display_chunk(start..start + take, buf, streams);
+            for (slot, id) in buf.iter_mut().zip(start..) {
+                let mut rng = streams.rng(id, StreamStage::Display);
+                *slot = self.agents[id].display(&mut rng);
+            }
             crate::invariants::check_displays_chunk(start, buf, d);
             for (k, &s) in buf.iter().enumerate() {
                 chunk.set(local + k, s);
@@ -359,18 +331,11 @@ impl<A: AgentState> ColumnarState for ScalarState<A> {
         }
     }
 
-    fn flip_source_preferences(&mut self) -> usize {
-        let mut flipped = 0;
-        for agent in self.agents.iter_mut() {
-            if agent.flip_source_preference() {
-                flipped += 1;
-            }
-        }
-        flipped
-    }
-
-    fn opinion(&self, id: usize) -> Opinion {
-        self.agents[id].opinion()
+    fn count_opinion(&self, opinion: Opinion) -> usize {
+        self.agents
+            .iter()
+            .filter(|a| a.opinion() == opinion)
+            .count()
     }
 
     fn metrics_sweep(&self, correct: Opinion) -> MetricsSweep {
@@ -457,7 +422,7 @@ mod tests {
         let state = ColumnarProtocol::init_state(&Stubborn, &cfg, &streams);
         assert_eq!(state.len(), 5);
         assert!(!state.is_empty());
-        assert_eq!(state.opinion(0), Opinion::One);
+        assert_eq!(state.agent(0).opinion(), Opinion::One);
         assert_eq!(state.count_opinion(Opinion::One), 2);
         assert_eq!(state.count_opinion(Opinion::Zero), 3);
         assert_eq!(ColumnarProtocol::alphabet_size(&Stubborn), 2);
@@ -486,15 +451,19 @@ mod tests {
     }
 
     #[test]
-    fn display_chunk_is_chunking_invariant() {
-        let cfg = PopulationConfig::new(6, 2, 3, 1).unwrap();
+    fn scalar_state_packs_each_agents_display() {
+        let cfg = PopulationConfig::new(70, 2, 3, 1).unwrap();
         let streams = RoundStreams::new(4, 0);
         let state = ColumnarProtocol::init_state(&Stubborn, &cfg, &streams);
-        let mut whole = vec![0usize; 6];
-        state.display_chunk(0..6, &mut whole, &streams);
-        let mut pieces = vec![0usize; 6];
-        state.display_chunk(0..2, &mut pieces[0..2], &streams);
-        state.display_chunk(2..6, &mut pieces[2..6], &streams);
-        assert_eq!(whole, pieces);
+        let mut planes = crate::packed::PackedDisplays::new(70, 2);
+        for mut chunk in planes.chunks_mut(64) {
+            let start = chunk.start();
+            let len = chunk.len();
+            state.display_chunk_packed(start..start + len, &mut chunk, &streams);
+        }
+        let mut got = vec![0usize; 70];
+        planes.unpack_into(&mut got);
+        let want: Vec<usize> = state.agents().iter().map(|a| a.0.as_index()).collect();
+        assert_eq!(got, want);
     }
 }

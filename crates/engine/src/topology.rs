@@ -171,11 +171,11 @@ impl Topology {
                 max_degree: n - 1,
             }),
             TopologySpec::Ring { k } => {
-                if 2 * k > n.saturating_sub(1) {
+                // `k > (n-1)/2` is `2k > n-1` without computing 2k, which
+                // overflows for a k taken from a spec or a snapshot.
+                if k > (n - 1) / 2 {
                     return Err(bad(format!(
-                        "ring:{k} needs at least {} agents (degree 2k = {} must stay below n)",
-                        2 * k + 1,
-                        2 * k
+                        "ring:{k} is too wide for n = {n} agents (degree 2k must stay below n)"
                     )));
                 }
                 let mut lists: Vec<Vec<u32>> = Vec::with_capacity(n);
@@ -483,6 +483,16 @@ mod tests {
         assert!(Topology::build(TopologySpec::Ring { k: 3 }, 7, 1).is_ok());
         let err = Topology::build(TopologySpec::Ring { k: 4 }, 7, 1).expect_err("too wide");
         assert!(err.to_string().contains("ring:4"));
+    }
+
+    #[test]
+    fn ring_rejects_a_half_width_whose_degree_overflows() {
+        // 2k wraps to 0 for k = 2⁶³: the width check must not compute it.
+        for k in [usize::MAX / 2 + 1, usize::MAX] {
+            let err = Topology::build(TopologySpec::Ring { k }, 16, 1).expect_err("too wide");
+            assert!(matches!(err, EngineError::BadTopology { .. }), "{err}");
+            assert!(err.to_string().contains("too wide for n = 16"), "{err}");
+        }
     }
 
     #[test]

@@ -34,12 +34,12 @@ use rand::Rng;
 use crate::channel::{Channel, ChannelKind, SamplingMode};
 use crate::faults::{FaultEvent, FaultPlan, ScheduledFault};
 use crate::metrics::{
-    OpinionSeries, RoundMetrics, RunObserver, RunOutcome, StageClock, StageTimings, TraceRecorder,
+    RoundMetrics, RunObserver, RunOutcome, StageClock, StageTimings, TraceRecorder,
 };
 use crate::opinion::Opinion;
 use crate::packed::{self, PackedDisplays};
 use crate::population::PopulationConfig;
-use crate::protocol::{ColumnarProtocol, ColumnarState};
+use crate::protocol::{AgentState, ColumnarProtocol, ColumnarState};
 use crate::runner;
 use crate::snapshot::{SnapReader, SnapWriter, SnapshotState, SNAP_MAGIC, SNAP_MAGIC_V2};
 use crate::streams::{RoundStreams, StreamStage};
@@ -90,7 +90,6 @@ pub struct World<P: ColumnarProtocol> {
     seed: u64,
     threads: usize,
     round: u64,
-    series: Option<OpinionSeries>,
     trace: Option<TraceRecorder>,
     observer: Option<Box<dyn RunObserver>>,
     /// The opinion currently counted as correct. Starts as the
@@ -176,7 +175,6 @@ impl<P: ColumnarProtocol> World<P> {
             seed,
             threads: runner::suggested_threads(),
             round: 0,
-            series: None,
             trace: None,
             observer: None,
             correct_opinion,
@@ -313,22 +311,7 @@ impl<P: ColumnarProtocol> World<P> {
 
     /// The current opinion vector, in agent-id order.
     pub fn opinions(&self) -> Vec<Opinion> {
-        (0..self.state.len())
-            .map(|id| self.state.opinion(id))
-            .collect()
-    }
-
-    /// Enables per-round recording of opinion counts (see
-    /// [`World::series`]).
-    pub fn record_series(&mut self) {
-        if self.series.is_none() {
-            self.series = Some(OpinionSeries::new(self.config.n()));
-        }
-    }
-
-    /// The recorded opinion series, if [`World::record_series`] was called.
-    pub fn series(&self) -> Option<&OpinionSeries> {
-        self.series.as_ref()
+        self.iter_agents().map(|agent| agent.opinion()).collect()
     }
 
     /// Enables the built-in per-round trace: every subsequent
@@ -472,7 +455,14 @@ impl<P: ColumnarProtocol> World<P> {
                     labels.push(format!("{label}:{hit}"));
                 }
                 FaultEvent::FlipSources => {
-                    let flipped = self.state.flip_source_preferences();
+                    let mut flipped = 0usize;
+                    for id in 0..self.state.len() {
+                        let mut agent = self.state.agent(id);
+                        if agent.flip_source_preference() {
+                            self.state.set_agent(id, agent);
+                            flipped += 1;
+                        }
+                    }
                     if flipped > 0 {
                         self.correct_opinion = !self.correct_opinion;
                     }
@@ -689,9 +679,6 @@ impl<P: ColumnarProtocol> World<P> {
         }
 
         self.round += 1;
-        if let Some(series) = self.series.as_mut() {
-            series.push(self.state.count_opinion(Opinion::One));
-        }
         if observing {
             let metrics = self.collect_round_metrics(fault_labels);
             if let Some(clock) = clock.as_mut() {
@@ -713,15 +700,7 @@ impl<P: ColumnarProtocol> World<P> {
     /// identical to the default per-agent walk by contract.
     fn collect_round_metrics(&self, faults: Vec<String>) -> RoundMetrics {
         let sweep = self.state.metrics_sweep(self.correct_opinion);
-        RoundMetrics {
-            round: self.round,
-            n: self.state.len(),
-            correct: sweep.correct,
-            stages: sweep.stages,
-            weak_formed: sweep.weak_formed,
-            weak_correct: sweep.weak_correct,
-            faults,
-        }
+        RoundMetrics::from_sweep(self.round, self.state.len(), sweep, faults)
     }
 
     /// Runs `rounds` rounds unconditionally.
@@ -745,7 +724,8 @@ impl<P: ColumnarProtocol> World<P> {
 
     /// Steps until consensus on the correct opinion or until `budget`
     /// rounds have run. A world already in consensus converges in 0 rounds
-    /// without stepping, even at `budget = 0`.
+    /// without stepping, even at `budget = 0`. Other stop rules (run the
+    /// whole budget, per-round hooks) live in `np_sweep::driver`.
     pub fn run_until_consensus(&mut self, budget: u64) -> RunOutcome {
         if self.is_consensus() {
             return RunOutcome::Converged { rounds: 0 };
@@ -757,43 +737,6 @@ impl<P: ColumnarProtocol> World<P> {
                 return RunOutcome::Converged {
                     rounds: self.round - start,
                 };
-            }
-        }
-        RunOutcome::TimedOut {
-            budget,
-            correct_at_end: self.correct_count(),
-        }
-    }
-
-    /// Steps until the consensus has *held* for `window` consecutive rounds
-    /// (or the budget runs out), returning the round at which the stable
-    /// window began. Used by the self-stabilization persistence experiment:
-    /// Definition 2 requires consensus to be reached *and kept*.
-    ///
-    /// `window = 0` is saturated to 1 (a zero-length persistence
-    /// requirement is the same as observing consensus once; the raw value
-    /// would underflow the round arithmetic). Consensus is checked before
-    /// the first step, so a world already in consensus — e.g. a resumed
-    /// persistence run — converges in 0 rounds rather than timing out at
-    /// `budget = 0`.
-    pub fn run_until_stable_consensus(&mut self, budget: u64, window: u64) -> RunOutcome {
-        let window = window.max(1);
-        if self.is_consensus() {
-            return RunOutcome::Converged { rounds: 0 };
-        }
-        let start = self.round;
-        let mut streak: u64 = 0;
-        while self.round - start < budget {
-            self.step();
-            if self.is_consensus() {
-                streak += 1;
-                if streak >= window {
-                    return RunOutcome::Converged {
-                        rounds: (self.round - start).saturating_sub(window - 1),
-                    };
-                }
-            } else {
-                streak = 0;
             }
         }
         RunOutcome::TimedOut {
@@ -821,8 +764,10 @@ where
     /// Captured: the round counter, population configuration, seed,
     /// channel (kind, sampling mode, exact noise rows), the current
     /// correct opinion, the fault cursor and in-flight fault effects
-    /// (active ramp, sleep horizons), the recorded series/trace (metrics
-    /// only — never wall-clock timings), and the whole protocol state.
+    /// (active ramp, sleep horizons), the recorded trace (metrics only —
+    /// never wall-clock timings), and the whole protocol state. The
+    /// format's opinion-series section is always written empty (flag
+    /// `false`); the trace is the one per-round record.
     /// Not captured: the thread count (pure perf knob), any custom
     /// observer (code, not data), and pending fault *events* (also code —
     /// see [`World::reattach_fault_plan`]).
@@ -888,17 +833,7 @@ where
         for &until in &self.asleep_until {
             w.put_u64(until);
         }
-        match &self.series {
-            None => w.put_bool(false),
-            Some(series) => {
-                w.put_bool(true);
-                let ones = series.counts(Opinion::One);
-                w.put_usize(ones.len());
-                for count in ones {
-                    w.put_usize(count);
-                }
-            }
-        }
+        w.put_bool(false);
         match &self.trace {
             None => w.put_bool(false),
             Some(trace) => {
@@ -979,19 +914,6 @@ where
         } else {
             TopologySpec::Complete
         };
-        // Neighbor lists are a pure function of (spec, n, seed), so the
-        // snapshot carries only the spec and we regenerate the graph here.
-        let topology = Topology::build(topo_spec, n, seed)
-            .map_err(|e| bad(format!("snapshot topology rejected: {e}")))?;
-        if mode == SamplingMode::WithoutReplacement
-            && !topology.is_complete()
-            && h > topology.min_degree()
-        {
-            return Err(bad(format!(
-                "snapshot samples {h} distinct neighbors but the topology's minimum degree is {}",
-                topology.min_degree()
-            )));
-        }
         let d = r.take_usize()?;
         if d != protocol.alphabet_size() {
             return Err(bad(format!(
@@ -1027,24 +949,20 @@ where
                 "sleep horizons cover {asleep_len} agents, population has {n}"
             )));
         }
-        let mut asleep_until = Vec::with_capacity(asleep_len);
+        let mut asleep_until = Vec::with_capacity(asleep_len.min(r.remaining()));
         for _ in 0..asleep_len {
             asleep_until.push(r.take_u64()?);
         }
-        let series = if r.take_bool()? {
-            let len = r.take_usize()?;
-            let mut series = OpinionSeries::new(config.n());
-            for _ in 0..len {
+        // Snapshots written while the opinion-series recorder existed may
+        // carry a series section: checked and dropped.
+        if r.take_bool()? {
+            for _ in 0..r.take_usize()? {
                 let ones = r.take_usize()?;
                 if ones > n {
                     return Err(bad(format!("series count {ones} exceeds population {n}")));
                 }
-                series.push(ones);
             }
-            Some(series)
-        } else {
-            None
-        };
+        }
         let trace = if r.take_bool()? {
             let len = r.take_usize()?;
             let mut trace = TraceRecorder::new();
@@ -1064,6 +982,20 @@ where
             )));
         }
         r.finish()?;
+        // Neighbor lists are a pure function of (spec, n, seed), so the
+        // snapshot carries only the spec and we regenerate the graph here
+        // — only now that the decoded state has vouched for `n`.
+        let topology = Topology::build(topo_spec, n, seed)
+            .map_err(|e| bad(format!("snapshot topology rejected: {e}")))?;
+        if mode == SamplingMode::WithoutReplacement
+            && !topology.is_complete()
+            && h > topology.min_degree()
+        {
+            return Err(bad(format!(
+                "snapshot samples {h} distinct neighbors but the topology's minimum degree is {}",
+                topology.min_degree()
+            )));
+        }
         Ok(World {
             config,
             channel,
@@ -1075,7 +1007,6 @@ where
             seed,
             threads: runner::suggested_threads(),
             round,
-            series,
             trace,
             observer: None,
             correct_opinion,
@@ -1199,17 +1130,17 @@ mod tests {
     fn trajectory_is_thread_count_invariant() {
         let mut reference = world(13);
         reference.set_threads(1);
-        reference.record_series();
+        reference.record_trace();
         reference.run(15);
         for threads in [2, 3, 7, 32] {
             let mut w = world(13);
             w.set_threads(threads);
-            w.record_series();
+            w.record_trace();
             w.run(15);
             assert_eq!(w.opinions(), reference.opinions(), "threads = {threads}");
             assert_eq!(
-                w.series().unwrap().counts(Opinion::One),
-                reference.series().unwrap().counts(Opinion::One),
+                w.trace().unwrap().rounds(),
+                reference.trace().unwrap().rounds(),
                 "threads = {threads}"
             );
         }
@@ -1236,16 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn series_records_when_enabled() {
-        let mut w = world(3);
-        assert!(w.series().is_none());
-        w.record_series();
-        w.run(5);
-        let s = w.series().unwrap();
-        assert_eq!(s.len(), 5);
-    }
-
-    #[test]
     fn run_until_consensus_times_out_on_tiny_budget() {
         let mut w = world(5);
         let outcome = w.run_until_consensus(1);
@@ -1265,38 +1186,14 @@ mod tests {
     }
 
     #[test]
-    fn stable_consensus_requires_window() {
-        let mut w = world(8);
-        let outcome = w.run_until_stable_consensus(1000, 10);
-        assert!(outcome.converged());
-        // After the stable window, the system is (still) in consensus.
-        assert!(w.is_consensus());
-    }
-
-    #[test]
-    fn stable_consensus_window_zero_does_not_underflow() {
-        // Regression: window = 0 underflowed `rounds - (window - 1)`.
-        let mut w = world(8);
-        let outcome = w.run_until_stable_consensus(1000, 0);
-        assert!(outcome.converged(), "outcome: {outcome:?}");
-        let mut v = world(8);
-        let with_one = v.run_until_stable_consensus(1000, 1);
-        assert_eq!(outcome, with_one, "window 0 behaves as window 1");
-    }
-
-    #[test]
     fn already_converged_world_reports_converged_at_zero_budget() {
-        // Regression: both runners stepped before checking consensus, so
-        // an already-converged world timed out at budget = 0.
+        // Regression: the runner stepped before checking consensus, so an
+        // already-converged world timed out at budget = 0.
         let mut w = world(8);
         assert!(w.run_until_consensus(1000).converged());
         let round = w.round();
         assert_eq!(
             w.run_until_consensus(0),
-            RunOutcome::Converged { rounds: 0 }
-        );
-        assert_eq!(
-            w.run_until_stable_consensus(0, 5),
             RunOutcome::Converged { rounds: 0 }
         );
         assert_eq!(w.round(), round, "no steps were taken");
@@ -1652,10 +1549,9 @@ mod tests {
     #[test]
     fn snapshot_restore_continues_byte_identically() {
         // Straight run 0..15 vs snapshot at 5 + restore + run 5..15, at a
-        // different thread count: same opinions, series, and trace.
+        // different thread count: same opinions and trace.
         let mut reference = noisy_world(23);
         reference.set_threads(1);
-        reference.record_series();
         reference.record_trace();
         reference.run(5);
         let bytes = reference.snapshot();
@@ -1669,10 +1565,6 @@ mod tests {
 
         assert_eq!(restored.opinions(), reference.opinions());
         assert_eq!(
-            restored.series().unwrap().counts(Opinion::One),
-            reference.series().unwrap().counts(Opinion::One)
-        );
-        assert_eq!(
             restored.trace().unwrap().rounds(),
             reference.trace().unwrap().rounds()
         );
@@ -1684,7 +1576,6 @@ mod tests {
         w.run(2);
         let bytes = w.snapshot();
         let restored: World<Majority> = World::restore(&Majority, &bytes).unwrap();
-        assert!(restored.series().is_none());
         assert!(restored.trace().is_none());
         assert_eq!(restored.opinions(), w.opinions());
         // Re-encoding the restored world reproduces the bytes exactly.
@@ -1792,6 +1683,52 @@ mod tests {
         assert!(err.to_string().contains("test-majority/v1"), "{err}");
     }
 
+    /// Byte offset of the population size `n` in a test-majority
+    /// snapshot: right after the length-prefixed magic and state tag.
+    fn n_offset(magic: &str) -> usize {
+        8 + magic.len() + 8 + "test-majority/v1".len()
+    }
+
+    #[test]
+    fn restore_checks_the_population_before_building_the_topology() {
+        let mut w = ring_world(35, ChannelKind::Aggregated);
+        w.run(1);
+        let mut bytes = w.snapshot();
+        let at = n_offset(SNAP_MAGIC_V2);
+        assert_eq!(bytes[at..at + 8], 32u64.to_le_bytes());
+        // Large enough that the ring's row table overflows its capacity
+        // before anything is allocated.
+        bytes[at..at + 8].copy_from_slice(&(usize::MAX / 2).to_le_bytes());
+        let err = World::<Majority>::restore(&Majority, &bytes).unwrap_err();
+        assert!(matches!(err, EngineError::BadSnapshot { .. }), "{err}");
+    }
+
+    #[test]
+    fn restore_sizes_sleep_horizons_by_the_bytes_left() {
+        let mut w = world(36);
+        w.set_fault_plan(FaultPlan::new().at(
+            1,
+            FaultEvent::Sleep {
+                frac: 0.5,
+                rounds: 5,
+            },
+        ))
+        .unwrap();
+        w.run(2);
+        let mut bytes = w.snapshot();
+        let n_at = n_offset(SNAP_MAGIC);
+        // n, s0, s1, h, seed, round; correct opinion, channel kind and
+        // sampling mode bytes; alphabet size, 2×2 noise rows, fault
+        // cursor, ramp flag — then the sleep-horizon count.
+        let asleep_at = n_at + 6 * 8 + 3 + 8 + 4 * 8 + 8 + 1;
+        assert_eq!(bytes[asleep_at..asleep_at + 8], 32u64.to_le_bytes());
+        for at in [n_at, asleep_at] {
+            bytes[at..at + 8].copy_from_slice(&(usize::MAX / 2).to_le_bytes());
+        }
+        let err = World::<Majority>::restore(&Majority, &bytes).unwrap_err();
+        assert!(matches!(err, EngineError::BadSnapshot { .. }), "{err}");
+    }
+
     // ---- graph-restricted topologies ---------------------------------
 
     /// A ring world under real noise; k = 4 gives degree 8 ≪ n.
@@ -1870,12 +1807,12 @@ mod tests {
         for kind in [ChannelKind::Exact, ChannelKind::Aggregated] {
             let mut reference = ring_world(13, kind);
             reference.set_threads(1);
-            reference.record_series();
+            reference.record_trace();
             reference.run(12);
             for threads in [2, 7] {
                 let mut w = ring_world(13, kind);
                 w.set_threads(threads);
-                w.record_series();
+                w.record_trace();
                 w.run(12);
                 assert_eq!(
                     w.opinions(),
@@ -1883,8 +1820,8 @@ mod tests {
                     "{kind:?} threads = {threads}"
                 );
                 assert_eq!(
-                    w.series().unwrap().counts(Opinion::One),
-                    reference.series().unwrap().counts(Opinion::One),
+                    w.trace().unwrap().rounds(),
+                    reference.trace().unwrap().rounds(),
                     "{kind:?} threads = {threads}"
                 );
             }
@@ -1918,7 +1855,8 @@ mod tests {
         w.record_trace();
         w.set_fault_plan(FaultPlan::new().at(4, zero_out(1.0)))
             .unwrap();
-        assert!(w.run_until_stable_consensus(300, 5).converged());
+        w.run(300);
+        assert!(w.is_consensus());
         let trace = w.take_trace().unwrap();
         let recoveries = recovery_times(trace.rounds());
         assert_eq!(recoveries.len(), 1);

@@ -9,6 +9,7 @@
 //! ([`StopRule::FullBudget`]). Sweeps and the scale bench only need the
 //! first consensus round ([`StopRule::FirstConsensus`]) and stop there.
 
+use std::io::Write;
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -187,22 +188,33 @@ where
     Ok(true)
 }
 
-/// Writes `bytes` to `path` atomically: a `.tmp` sibling, then a rename,
-/// so a crash never leaves a torn file. Creates parent directories.
+/// Writes `bytes` to `path` atomically and durably: a `.tmp` sibling,
+/// synced to disk, then a rename, then a sync of the directory holding
+/// the new name — so a crash never leaves a torn file, and once this
+/// returns (before any manifest record names the file) the bytes survive
+/// a power loss. Creates parent directories.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    // A rename is durable only once its directory entry is. Directories
+    // open as files on Unix; elsewhere the rename's own guarantees stand.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// Picks the cheaper of the two distribution-identical channels: literal

@@ -379,7 +379,6 @@ pub const SCOPES: &[ScopeDef] = &[
         fns: &[
             "fill_exact_chunk",
             "fill_aggregated_chunk",
-            "display_chunk",
             "display_chunk_packed",
             "step_chunk",
         ],

@@ -41,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ChannelKind::Aggregated,
         seed,
     )?;
-    world.record_series();
 
     // Run phase by phase, narrating progress.
     world.run(2 * params.phase_len());

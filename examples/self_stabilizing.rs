@@ -11,6 +11,7 @@
 //! ```
 
 use noisy_pull_repro::prelude::*;
+use np_sweep::driver::{settle, StopRule};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024;
@@ -41,19 +42,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         world.corrupt_agents(|id, agent, rng| adversary.corrupt(agent, correct, m, id, rng));
 
         let before = world.correct_count();
-        // Run until consensus has held for a full update interval.
-        let budget = 10 * params.update_interval();
-        let outcome = world.run_until_stable_consensus(budget, params.update_interval());
-        match outcome {
-            RunOutcome::Converged { rounds } => println!(
-                "{adversary:>16}: start {before:>4}/{n} correct → stable consensus from round {rounds}"
+        // Run the whole budget: the settle round is the first from which
+        // consensus held to the end (reached *and* kept).
+        let finish = settle(
+            &mut world,
+            10 * params.update_interval(),
+            StopRule::FullBudget,
+        );
+        match finish.settled {
+            Some(round) => println!(
+                "{adversary:>16}: start {before:>4}/{n} correct → stable consensus from round {round}"
             ),
-            RunOutcome::TimedOut { correct_at_end, .. } => println!(
-                "{adversary:>16}: start {before:>4}/{n} correct → FAILED ({correct_at_end}/{n} at budget)"
+            None => println!(
+                "{adversary:>16}: start {before:>4}/{n} correct → FAILED ({}/{n} at budget)",
+                finish.correct
             ),
         }
         assert!(
-            outcome.converged(),
+            finish.converged(),
             "SSF must self-stabilize under {adversary}"
         );
 

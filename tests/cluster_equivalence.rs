@@ -10,6 +10,9 @@
 //! layer: a mid-run partition, once healed, must cost SSF at most a few
 //! update intervals to re-converge.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use noisy_pull::params::SsfParams;
 use noisy_pull::ssf::SelfStabilizingSourceFilter;
 use np_engine::channel::ChannelKind;
@@ -19,6 +22,7 @@ use np_linalg::noise::NoiseMatrix;
 use np_net::cluster::ClusterConfig;
 use np_net::faults::{NetFault, NetFaultPlan};
 use np_net::sim::SimCluster;
+use np_sweep::driver::{drive, StopRule};
 
 const DELTA: f64 = 0.05;
 const C1: f64 = 1.0;
@@ -32,7 +36,9 @@ fn h_of(n: usize) -> usize {
     (n as f64).ln().ceil() as usize
 }
 
-/// One round-engine SSF run; `true` if it converges within the budget.
+/// One round-engine SSF run; `true` if consensus, once reached, holds
+/// for a full update interval within the budget (Definition 2's
+/// reach-and-keep, over one memory update).
 fn world_converges(n: usize, seed: u64) -> bool {
     let config = PopulationConfig::new(n, 0, 1, h_of(n)).unwrap();
     let params = SsfParams::derive(&config, DELTA, C1).unwrap();
@@ -46,9 +52,19 @@ fn world_converges(n: usize, seed: u64) -> bool {
     )
     .unwrap();
     let budget = BUDGET_INTERVALS * params.update_interval();
-    world
-        .run_until_stable_consensus(budget, params.update_interval())
-        .converged()
+    let window = params.update_interval();
+    let mut streak = 0;
+    let mut held = false;
+    let _ = drive(&mut world, budget, StopRule::FullBudget, |w| {
+        streak = if w.is_consensus() { streak + 1 } else { 0 };
+        held = streak >= window;
+        Ok::<_, Infallible>(if held {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
+    });
+    held
 }
 
 /// One simulated-time cluster run on the same population; `true` if

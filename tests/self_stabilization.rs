@@ -2,6 +2,7 @@
 //! corruption strategy is flushed, and the consensus persists.
 
 use noisy_pull_repro::prelude::*;
+use np_sweep::driver::{settle, StopRule};
 
 fn corrupted_world(
     adversary: SsfAdversary,
@@ -25,14 +26,27 @@ fn corrupted_world(
     (world, params)
 }
 
+/// Runs `world` to round `budget` and returns `true` if it ended in the
+/// correct consensus, reached and kept (Definition 2), after holding it
+/// for at least one update interval.
+fn stabilizes(
+    world: &mut World<SelfStabilizingSourceFilter>,
+    budget: u64,
+    params: &SsfParams,
+) -> bool {
+    let finish = settle(world, budget, StopRule::FullBudget);
+    finish
+        .settled
+        .is_some_and(|from| finish.round + 1 - from >= params.update_interval())
+}
+
 #[test]
 fn recovers_from_every_adversary() {
     for adversary in SsfAdversary::ALL {
         let (mut world, params) = corrupted_world(adversary, 256, 0xAD);
         let budget = 8 * params.update_interval();
-        let outcome = world.run_until_stable_consensus(budget, params.update_interval());
         assert!(
-            outcome.converged(),
+            stabilizes(&mut world, budget, &params),
             "{adversary}: {}/256 at budget",
             world.correct_count()
         );
@@ -91,8 +105,11 @@ fn desynchronized_updates_still_converge() {
         world.iter_agents().map(|a| a.memory_size()).collect();
     assert!(sizes.len() > 10, "adversary failed to desynchronize");
     let budget = 8 * params.update_interval();
-    let outcome = world.run_until_stable_consensus(budget, params.update_interval());
-    assert!(outcome.converged());
+    assert!(
+        stabilizes(&mut world, budget, &params),
+        "{}/256 at budget",
+        world.correct_count()
+    );
 }
 
 #[test]
@@ -140,21 +157,16 @@ fn trend_change_flips_the_target_and_ssf_follows() {
     // on the new trend — self-stabilization against a moving target.
     let (mut world, params) = corrupted_world(SsfAdversary::None, 256, 0xB3);
     let interval = params.update_interval();
-    assert!(world
-        .run_until_stable_consensus(8 * interval, interval)
-        .converged());
+    assert!(stabilizes(&mut world, 8 * interval, &params));
     assert_eq!(world.correct_opinion(), Opinion::One);
     let flip_round = world.round() + 1;
     world
         .set_fault_plan(FaultPlan::new().at(flip_round, FaultEvent::FlipSources))
         .unwrap();
-    // One explicit step: the stable-consensus runner would otherwise
-    // return before executing the flip round (it checks consensus first).
     world.step();
     assert_eq!(world.correct_opinion(), Opinion::Zero, "trend flipped");
-    let outcome = world.run_until_stable_consensus(12 * interval, interval);
     assert!(
-        outcome.converged(),
+        stabilizes(&mut world, flip_round + 12 * interval, &params),
         "never adopted the new trend: {}/256 agree",
         world.correct_count()
     );

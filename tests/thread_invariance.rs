@@ -3,7 +3,7 @@
 //! Randomness is derived per `(seed, round, agent, stage)`, never from a
 //! shared sequential stream, so chunking a round over 1, 2 or 7 worker
 //! threads must produce **byte-identical** trajectories — same opinions,
-//! same per-round series, same batch outputs. These tests pin that
+//! same per-round correct counts, same batch outputs. These tests pin that
 //! contract across the protocol zoo (SF, SSF — including an
 //! adversarially corrupted start — and the h-majority baseline) and
 //! across both entry points (`World::step` and `runner::run_batch`).
@@ -13,11 +13,15 @@ use noisy_pull_repro::engine::runner::run_batch;
 use noisy_pull_repro::prelude::*;
 use noisy_pull_repro::stats::seeds::SeedSequence;
 
+#[path = "support/counts.rs"]
+mod counts;
+use counts::correct_counts;
+
 const THREADS: [usize; 3] = [1, 2, 7];
 
 /// Runs `make_world()` for `rounds` under each thread count and asserts
-/// the final opinions and the full per-round series all match the
-/// single-threaded reference.
+/// the final opinions and the full per-round correct counts all match
+/// the single-threaded reference.
 fn assert_thread_invariant<P, F>(label: &str, rounds: u64, make_world: F)
 where
     P: ColumnarProtocol,
@@ -27,12 +31,7 @@ where
     for threads in THREADS {
         let mut world = make_world();
         world.set_threads(threads);
-        world.record_series();
-        world.run(rounds);
-        let counts: Vec<usize> = world
-            .series()
-            .expect("series was enabled")
-            .counts(Opinion::One);
+        let counts = correct_counts(&mut world, rounds);
         let got = (world.opinions(), counts);
         match &reference {
             None => reference = Some(got),
@@ -43,7 +42,7 @@ where
                 );
                 assert_eq!(
                     want.1, got.1,
-                    "{label}: series differs at {threads} threads"
+                    "{label}: correct counts differ at {threads} threads"
                 );
             }
         }

@@ -4,7 +4,7 @@
 //! complete graph as a zero-cost seam: a world that never names a
 //! topology and a world explicitly pinned to [`TopologySpec::Complete`]
 //! must produce **byte-identical** trajectories — same opinions, same
-//! per-round series — for every protocol (SF, SSF, SF-ALT) at every
+//! per-round correct counts — for every protocol (SF, SSF, SF-ALT) at every
 //! thread count (1, 2, 7). Restricted graphs then get the same
 //! thread-count-invariance guarantee the complete graph has always had,
 //! and graph generation itself must be a pure function of
@@ -12,17 +12,16 @@
 
 use noisy_pull_repro::prelude::*;
 
+#[path = "support/counts.rs"]
+mod counts;
+use counts::correct_counts;
+
 const THREADS: [usize; 3] = [1, 2, 7];
 
-/// Trajectory fingerprint: final opinions plus the per-round ones-count
-/// series.
+/// Trajectory fingerprint: final opinions plus the per-round
+/// correct-opinion counts.
 fn trajectory<P: ColumnarProtocol>(mut world: World<P>, rounds: u64) -> (Vec<Opinion>, Vec<usize>) {
-    world.record_series();
-    world.run(rounds);
-    let counts = world
-        .series()
-        .expect("series was enabled")
-        .counts(Opinion::One);
+    let counts = correct_counts(&mut world, rounds);
     (world.opinions(), counts)
 }
 
